@@ -11,10 +11,6 @@ monitor riding them, and the RADAR chaos cell -- and records:
   the undefended baseline and its defense-time share (the overhead
   axis).  All ratios of simulated quantities, so they transfer across
   runner classes;
-* **engine equivalence** -- every serving cell runs on the bulk
-  reference engine and is re-run on the event-driven fast-forward
-  engine; the payloads must match bit-for-bit (``engine_check``), else
-  the artifact is refused;
 * **the chaos-cell contract** -- RADAR with deterministic weight-row
   corruption injected mid-run must detect every injection (latency
   recorded from its detection log) and recover the victim to within
@@ -29,12 +25,9 @@ Run with:  python benchmarks/bench_bakeoff.py [--attacks bfa pta ...]
 """
 
 import argparse
-import copy
 import json
 import os
 import time
-
-from dataclasses import replace
 
 from repro.eval import Scale
 from repro.eval.harness import (
@@ -61,40 +54,6 @@ def _run(scenario: Scenario) -> tuple[float, dict]:
     if not result.ok:
         raise SystemExit(f"{scenario.name} failed:\n{result.error}")
     return result.wall_clock_s, result.payload
-
-
-def _engine_neutral(payload: dict) -> dict:
-    """The payload with the engine knob removed -- what the engine
-    equivalence contract (docs/ARCHITECTURE.md) requires to be
-    bit-identical across ``bulk``/``events``."""
-    neutral = copy.deepcopy(payload)
-    neutral.get("serving_phase", {}).get("config", {}).pop("engine", None)
-    return neutral
-
-
-def _engine_check(
-    scenario: Scenario, bulk_wall_s: float, bulk_payload: dict
-) -> dict:
-    """Re-run one serving cell on the events engine and require a
-    bit-identical payload (modulo the engine knob itself)."""
-    params = dict(scenario.params)
-    params["engine"] = "events"
-    events_wall_s, events_payload = _run(
-        replace(scenario, params=tuple(sorted(params.items())))
-    )
-    identical = (
-        _engine_neutral(bulk_payload) == _engine_neutral(events_payload)
-    )
-    if not identical:
-        raise SystemExit(
-            f"{scenario.name}: events-engine payload diverged from the "
-            "bulk reference; refusing to record"
-        )
-    return {
-        "identical": identical,
-        "bulk_wall_s": round(bulk_wall_s, 4),
-        "events_wall_s": round(events_wall_s, 4),
-    }
 
 
 def _sla_fingerprint(serving: dict) -> dict:
@@ -137,9 +96,7 @@ def _attack_cell(payload: dict) -> dict:
     return cell
 
 
-def _serving_cell(
-    scenario: Scenario, wall_s: float, payload: dict
-) -> dict:
+def _serving_cell(wall_s: float, payload: dict) -> dict:
     serving = payload["serving_phase"]
     health = serving["health"]
     return {
@@ -159,13 +116,10 @@ def _serving_cell(
         "quarantines": health["quarantines"],
         "last_probe_accuracy": health["last_probe_accuracy"],
         "sla_fingerprint": _sla_fingerprint(serving),
-        "engine_check": _engine_check(scenario, wall_s, payload),
     }
 
 
-def _chaos_section(
-    scenario: Scenario, wall_s: float, payload: dict, budget_pct: float
-) -> dict:
+def _chaos_section(payload: dict, budget_pct: float) -> dict:
     health = payload["serving_phase"]["health"]
     delta = None
     if health["post_recovery_accuracy"] is not None:
@@ -192,7 +146,6 @@ def _chaos_section(
         "quarantines": health["quarantines"],
         "radar": health.get("radar"),
         "conserved": health["conserved"],
-        "engine_check": _engine_check(scenario, wall_s, payload),
     }
     failures = []
     if not section["all_injections_detected"]:
@@ -299,9 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         wall_s, payload = _run(scenario)
         params = dict(scenario.params)
         if scenario.name.startswith("bakeoff-chaos"):
-            chaos = _chaos_section(
-                scenario, wall_s, payload, args.accuracy_budget
-            )
+            chaos = _chaos_section(payload, args.accuracy_budget)
             latencies = chaos["detection_latency_ns"]
             print(
                 f"{scenario.name:42s} detected "
@@ -312,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"(clean {chaos['clean_accuracy']:.2f}%)"
             )
         elif params.get("serving"):
-            cell = _serving_cell(scenario, wall_s, payload)
+            cell = _serving_cell(wall_s, payload)
             serving_cells[scenario.name] = cell
             print(
                 f"{scenario.name:42s} "

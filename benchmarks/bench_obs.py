@@ -45,10 +45,8 @@ ARTIFACT = "BENCH_obs.json"
 CELLS = (
     ("None", "scalar"),
     ("None", "bulk"),
-    ("None", "events"),
     ("DRAM-Locker", "scalar"),
     ("DRAM-Locker", "bulk"),
-    ("DRAM-Locker", "events"),
 )
 
 

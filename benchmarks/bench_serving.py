@@ -9,10 +9,6 @@ a channel sweep per defense, and records:
   transfers across runner classes; the recorder enforces the >= 5x
   scaling target from 1 to >= 8 channels under DRAM-Locker (>= 2x for
   narrower sweeps);
-* **engine equivalence** -- every cell runs on the event-driven
-  fast-forward engine and is re-run on the bulk reference engine; the
-  two payloads must match bit-for-bit (``engine_check`` records the
-  comparison and both wall clocks), else the artifact is refused;
 * **locker overhead under load** -- locked vs undefended simulated
   throughput at each channel count;
 * **the protected-victim probe** -- a trained quick-scale model
@@ -27,7 +23,6 @@ Run with:  python benchmarks/bench_serving.py [--channels 1 4 8 16]
 """
 
 import argparse
-import copy
 import json
 import os
 import time
@@ -91,36 +86,6 @@ def _run_cell(params: tuple, repeats: int) -> tuple[float, dict]:
     return best, payload
 
 
-def _engine_neutral(payload: dict) -> dict:
-    """The payload with the engine knob removed -- what the engine
-    equivalence contract (docs/ARCHITECTURE.md) requires to be
-    bit-identical across ``scalar``/``bulk``/``events``."""
-    neutral = copy.deepcopy(payload)
-    neutral.get("config", {}).pop("engine", None)
-    return neutral
-
-
-def _engine_check(
-    params: tuple, events_wall_s: float, events_payload: dict
-) -> dict:
-    """Re-run one cell on the bulk reference engine and require a
-    bit-identical payload (modulo the engine knob itself)."""
-    bulk_wall_s, bulk_payload = _run_cell(
-        params + (("engine", "bulk"),), repeats=1
-    )
-    identical = _engine_neutral(bulk_payload) == _engine_neutral(events_payload)
-    if not identical:
-        raise SystemExit(
-            "events-engine payload diverged from the bulk reference for "
-            f"params {params!r}; refusing to record"
-        )
-    return {
-        "identical": identical,
-        "bulk_wall_s": round(bulk_wall_s, 4),
-        "events_wall_s": round(events_wall_s, 4),
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--channels", type=int, nargs="+",
@@ -140,14 +105,12 @@ def main(argv: list[str] | None = None) -> int:
         rps = {}
         for channels in channel_counts:
             for colocated in (True, False):
-                base_params = (
+                params = (
                     ("channels", channels),
                     ("colocated", colocated),
                     ("defense", defense),
                 )
-                wall_s, payload = _run_cell(
-                    base_params + (("engine", "events"),), args.repeats
-                )
+                wall_s, payload = _run_cell(params, args.repeats)
                 aggregate = payload["sla"]["aggregate"]
                 victim = payload["victim"]
                 cell = {
@@ -159,7 +122,6 @@ def main(argv: list[str] | None = None) -> int:
                     "colocated": colocated,
                     "victim_flip_events": victim["victim_flip_events"],
                     "sla_fingerprint": _sla_fingerprint(payload),
-                    "engine_check": _engine_check(base_params, wall_s, payload),
                 }
                 name = _cell_name(defense, channels)
                 if not colocated:

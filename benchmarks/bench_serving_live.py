@@ -6,8 +6,8 @@ control, and the wall-clock-paced threaded server -- and records:
 
 * **replay equivalence** -- an infinite-speedup replay of a recorded
   trace must be bit-identical to the closed-loop run of the same
-  config outside the ``"live"`` payload section, under both the bulk
-  and the event-driven engine; any divergence refuses the artifact;
+  config outside the ``"live"`` payload section; any divergence
+  refuses the artifact;
 * **the overload triplet** -- the same solo workload re-recorded with
   its trace clock compressed ``OVERLOAD_FACTOR`` x (identical ops,
   arriving faster), replayed with no admission vs sojourn-pressure
@@ -81,35 +81,33 @@ def _sla_fingerprint(payload: dict) -> dict:
 
 
 def _replay_cells() -> dict:
-    """Replay-equivalence checks under both execution engines."""
-    cells = {}
-    for engine in ("bulk", "events"):
-        config = ServingConfig(channels=2, engine=engine, seed=0)
-        trace = record_serving_trace(config)
-        started = time.perf_counter()
-        result = serve(config, trace=trace)
-        replay_wall_s = time.perf_counter() - started
-        started = time.perf_counter()
-        closed = ServingSimulation(config).run()
-        closed_wall_s = time.perf_counter() - started
-        identical = replay_neutral(result.payload) == replay_neutral(closed)
-        if not identical:
-            raise SystemExit(
-                f"{engine}: trace replay diverged from the closed loop; "
-                "refusing to record"
-            )
-        name = f"{engine}-ch2"
-        cells[name] = {
-            "engine": engine,
+    """The replay-equivalence check on the bulk engine."""
+    config = ServingConfig(channels=2, seed=0)
+    trace = record_serving_trace(config)
+    started = time.perf_counter()
+    result = serve(config, trace=trace)
+    replay_wall_s = time.perf_counter() - started
+    started = time.perf_counter()
+    closed = ServingSimulation(config).run()
+    closed_wall_s = time.perf_counter() - started
+    identical = replay_neutral(result.payload) == replay_neutral(closed)
+    if not identical:
+        raise SystemExit(
+            "trace replay diverged from the closed loop; refusing to record"
+        )
+    name = f"{config.engine}-ch2"
+    print(f"replay {name}: bit-identical over {len(trace)} ops "
+          f"(replay {replay_wall_s * 1e3:.1f}ms, "
+          f"closed {closed_wall_s * 1e3:.1f}ms)")
+    return {
+        name: {
+            "engine": config.engine,
             "identical": identical,
             "ops": len(trace),
             "replay_wall_s": round(replay_wall_s, 4),
             "closed_wall_s": round(closed_wall_s, 4),
         }
-        print(f"replay {name}: bit-identical over {len(trace)} ops "
-              f"(replay {replay_wall_s * 1e3:.1f}ms, "
-              f"closed {closed_wall_s * 1e3:.1f}ms)")
-    return cells
+    }
 
 
 def _overload_cells() -> dict:

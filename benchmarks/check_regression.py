@@ -19,8 +19,8 @@ protected victim staying intact under the co-located attack; live
 serving artifacts (``bench_serving_live.py``) on replay equivalence,
 exact overload fingerprints, and admission holding the sojourn
 target; defense bake-off artifacts (``bench_bakeoff.py``) on the
-chaos-cell detect-and-recover contract, engine equivalence, exact SLA
-fingerprints, and the protection frontier; telemetry-overhead
+chaos-cell detect-and-recover contract, exact SLA fingerprints, and
+the protection frontier; telemetry-overhead
 artifacts (``bench_obs.py``) on enabled/disabled payload identity,
 exact event counts, and the disabled-path overhead budget.  Every
 comparison reads only its named sections, so the host-provenance

@@ -41,12 +41,8 @@ Execution engines and APIs:
 ``engine="scalar"`` at construction keeps every path on the reference
 loop (the discipline shared with ``repro.nn.functional.contract`` and
 the suffix-forward search engine: the fast path is only used where
-equivalence is pinned).  ``engine="events"`` goes one layer further:
-ACT runs are executed by the event-driven fast-forward core
-(:mod:`repro.controller.events`), which leaps refresh ticks inside one
-fused ``np.add.accumulate`` epoch instead of dropping to a scalar step
-at every tick -- still bit-identical to both reference engines (the
-scalar ⊂ bulk ⊂ events contract ``docs/ARCHITECTURE.md`` documents).
+equivalence is pinned) -- the scalar ⊂ bulk contract
+``docs/ARCHITECTURE.md`` documents.
 """
 
 from __future__ import annotations
@@ -59,10 +55,9 @@ import numpy as np
 from .. import obs
 from ..defenses.base import Defense
 from ..dram.device import DRAMDevice
-from ..engines import EXECUTION_ENGINES, resolve_engine
+from ..engines import resolve_engine
 from ..dram.stats import walk_add_many
 from ..locker.lock_table import LOCK_LOOKUP_NS
-from . import events as events_core
 from .request import (
     Kind,
     MemRequest,
@@ -76,22 +71,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..locker.locker import DRAMLocker
 
 __all__ = [
-    "ENGINES",
     "MemoryController",
     "SummarySink",
     "make_summary_sink",
     "LOCK_LOOKUP_NS",
 ]
-
-#: The execution engines a controller can be built with, equivalence-
-#: ordered: ``scalar`` is the reference loop, ``bulk`` chunks quiet ACT
-#: runs between scalar boundaries, ``events`` fast-forwards whole
-#: multi-tick epochs (see :mod:`repro.controller.events`).  All three
-#: produce bit-identical payloads.  Canonically defined in
-#: :mod:`repro.engines`; re-exported here under the controller's
-#: historical name.
-ENGINES = EXECUTION_ENGINES
-
 
 class _ListSink:
     """Collects full per-request results (the ``execute_batch`` mode)."""
@@ -413,8 +397,7 @@ class MemoryController:
     def _drain(self, requests: Sequence[MemRequest], sink) -> None:
         """Feed a request stream through ``sink`` via the configured
         engine, finding bulkable ACT runs when ``engine`` is ``'bulk'``
-        or ``'events'`` (the engines differ only in how those runs are
-        committed; everything else shares the scalar path)."""
+        (everything else shares the scalar path)."""
         if self.engine == "scalar":
             if isinstance(requests, RequestRun):
                 request = requests.request
@@ -424,17 +407,12 @@ class MemoryController:
                 for request in requests:
                     sink.add(self.execute(request))
             return
-        act_run = (
-            self._execute_act_run_events
-            if self.engine == "events"
-            else self._execute_act_run
-        )
         if isinstance(requests, RequestRun):
             # Run-length input: the whole stream is one known run, no
             # per-element scan needed.
             total = len(requests)
             if total > 1 and requests.request.kind is Kind.ACT:
-                act_run(requests, 0, total, sink)
+                self._execute_act_run(requests, 0, total, sink)
             else:
                 for index in range(total):
                     sink.add(self.execute(requests.request))
@@ -458,23 +436,11 @@ class MemoryController:
                         break
                     end += 1
                 if end - index > 1:
-                    act_run(requests, index, end, sink)
+                    self._execute_act_run(requests, index, end, sink)
                     index = end
                     continue
             sink.add(self.execute(request))
             index += 1
-
-    def _execute_act_run_events(
-        self,
-        requests: Sequence[MemRequest],
-        start: int,
-        end: int,
-        sink,
-    ) -> None:
-        """The ``engine="events"`` ACT-run executor: the fast-forward
-        core of :mod:`repro.controller.events`, which fuses whole
-        multi-tick epochs into one accumulate pass."""
-        events_core.execute_act_run(self, requests, start, end, sink)
 
     def _execute_act_run(
         self,

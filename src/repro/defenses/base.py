@@ -202,29 +202,6 @@ class Defense(ABC):
         for index in range(count):
             self.on_activate(row, now_ns + index * step_ns)
 
-    def next_act_event(self, row: int, limit: int) -> RunAction | None:
-        """Declare the defense's next event for the fast-forward core.
-
-        The events engine (:mod:`repro.controller.events`) fuses whole
-        multi-tick epochs -- refresh ticks included -- into one
-        accumulate pass.  That is only sound for a defense whose
-        ``on_activate`` performs no refresh-window-scoped work: the
-        scalar loop would run its window check (:meth:`_window_check`)
-        on the boundary ACT at each tick, and fusing the tick would
-        skip it.  A defense that *is* insensitive to window boundaries
-        declares so by returning a :class:`RunAction`: the next
-        ``count`` ACTs of ``row`` are uniform (per the
-        :meth:`plan_activate_run` contract) *and* may be fused across
-        refresh ticks; 0 means the very next ACT is the defense's event
-        and must run scalar.
-
-        Default: ``None`` -- no closed-form event stream declared; the
-        events engine falls back to the chunked bulk discipline
-        (scalar boundary at every refresh tick), which is always
-        correct.
-        """
-        return None
-
     @abstractmethod
     def overhead(self, config: DRAMConfig) -> OverheadReport:
         """Storage and area cost for Table I under ``config``."""
@@ -264,11 +241,6 @@ class NoDefense(Defense):
         self, row: int, count: int, now_ns: float, step_ns: float
     ) -> None:
         pass
-
-    def next_act_event(self, row: int, limit: int) -> RunAction | None:
-        # No window checks, no charges, no state: the whole horizon is
-        # event-free, so epochs may fuse across refresh ticks.
-        return RunAction(limit)
 
     def overhead(self, config: DRAMConfig) -> OverheadReport:
         return OverheadReport(

@@ -11,11 +11,6 @@ buffer row, composed onto a :class:`RowPermutation` the controller
 follows, so both the protection and its latency cost are emergent in
 simulation.  A per-window swap budget models the paper's constraint
 that swaps must fit inside refresh windows.
-
-Window-scoped state means the defense does *not* declare
-:meth:`~repro.defenses.base.Defense.next_act_event`: the events engine
-keeps the chunked bulk discipline (scalar boundary at every refresh
-tick), which is bit-identical by the existing bulk contract.
 """
 
 from __future__ import annotations

@@ -9,8 +9,7 @@ module is now the single source of truth:
 
 * :data:`EXECUTION_ENGINES` -- the controller drives.  ``"scalar"``
   executes one request at a time, ``"bulk"`` run-length-compresses
-  same-row streams, ``"events"`` defers whole streams onto a
-  clock-ordered event queue.  All three are bit-identical by contract
+  same-row streams.  The two are bit-identical by contract
   (``docs/ARCHITECTURE.md``, pinned by
   ``tests/test_engine_equivalence.py``).
 * :data:`SEARCH_ENGINES` -- the attack-session bit-search drives
@@ -19,9 +18,6 @@ module is now the single source of truth:
 * :func:`resolve_engine` -- validation with one uniform error message,
   so an unknown engine name fails identically no matter which layer
   first sees it.
-
-``ENGINES`` remains an alias of :data:`EXECUTION_ENGINES` because that
-is the name the controller has always exported.
 """
 
 from __future__ import annotations
@@ -29,19 +25,15 @@ from __future__ import annotations
 __all__ = [
     "EXECUTION_ENGINES",
     "SEARCH_ENGINES",
-    "ENGINES",
     "resolve_engine",
 ]
 
 #: Controller execution drives, cheapest-to-drive first.  Equivalence
 #: contract: identical payloads for identical request streams.
-EXECUTION_ENGINES: tuple[str, ...] = ("scalar", "bulk", "events")
+EXECUTION_ENGINES: tuple[str, ...] = ("scalar", "bulk")
 
 #: Attack-session bit-search drives (``SearchSession``).
 SEARCH_ENGINES: tuple[str, ...] = ("suffix", "full")
-
-#: Historical alias -- the controller's public name for its drives.
-ENGINES = EXECUTION_ENGINES
 
 
 def resolve_engine(

@@ -669,7 +669,7 @@ def _run_serving_live(
             if base_sojourn is None:
                 raise ValueError(
                     "sojourn-based admission/scaling needs a sojourn "
-                    "baseline (events-engine replays have none)"
+                    "baseline (the base replay booked none for tenant-0)"
                 )
             target_ns = base_sojourn * p99_target_factor
         admission_config = None
@@ -1686,13 +1686,6 @@ def serving_scenarios(scale: Scale | None = None) -> list[Scenario]:
              channels=2, tenants=8),
         cell("serving-locker-bursty-ch2", defense="DRAM-Locker",
              channels=2, arrival="bursty"),
-        # Event-driven fast-forward engine: payloads must match the
-        # bulk cells above bit-for-bit (tests/test_engine_equivalence.py
-        # pins the contract; these cells keep it exercised nightly).
-        cell("serving-locker-events-ch4", defense="DRAM-Locker",
-             channels=4, engine="events"),
-        cell("serving-none-events-ch4", defense="None",
-             channels=4, engine="events"),
     ]
     return scenarios
 
@@ -1700,11 +1693,11 @@ def serving_scenarios(scale: Scale | None = None) -> list[Scenario]:
 def serving_live_scenarios(scale: Scale | None = None) -> list[Scenario]:
     """The live-frontend matrix: replay equivalence plus overload.
 
-    Two equivalence cells pin replay == closed loop under both
-    execution engines; the overload triplet compresses arrivals 2x on
-    a solo cell and compares no admission vs pressure shedding vs a
-    token bucket; the last two put the attacker back (admitted cell)
-    and exercise dynamic channel scaling under block policy.
+    An equivalence cell pins replay == closed loop; the overload
+    triplet compresses arrivals 2x on a solo cell and compares no
+    admission vs pressure shedding vs a token bucket; the last two put
+    the attacker back (admitted cell) and exercise dynamic channel
+    scaling under block policy.
     ``benchmarks/bench_serving_live.py`` records the same story with
     wall-clock pacing on top.
     """
@@ -1718,8 +1711,6 @@ def serving_live_scenarios(scale: Scale | None = None) -> list[Scenario]:
 
     return [
         cell("live-replay-equiv-ch2", channels=2, verify=True),
-        cell("live-replay-equiv-events-ch2", channels=2,
-             engine="events", verify=True),
         cell("live-overload2x-open", colocated=False, overload=2.0),
         cell("live-overload2x-pressure", colocated=False, overload=2.0,
              admission="pressure"),

@@ -258,17 +258,13 @@ def compare_serving(
 ) -> RegressionReport:
     """Regression gate for the serving benchmark artifact.
 
-    Four properties:
+    Three properties:
 
     * **SLA-stat equivalence** (no tolerance): every cell's
       deterministic SLA fingerprint -- request/issued/blocked tallies
       and latency percentiles, all *simulated* quantities that transfer
       across runner classes -- must equal the committed baseline
       exactly; a drift means the serving path's behaviour changed.
-    * **Engine equivalence** (no tolerance): every current cell that
-      recorded an ``engine_check`` must report the events-engine
-      payload bit-identical to the bulk reference (the scalar <= bulk
-      <= events contract in ``docs/ARCHITECTURE.md``).
     * **Channel scaling**: each defense's 1-to-max-channel aggregate
       requests/sec ratio must not shrink more than
       ``throughput_tolerance`` versus the baseline (ratios of simulated
@@ -283,17 +279,6 @@ def compare_serving(
     """
     report = RegressionReport()
     current_cells = current.get("cells", {})
-    for name, cell in sorted(current_cells.items()):
-        engine_check = cell.get("engine_check")
-        if engine_check is None:
-            continue
-        check = f"{name}: events engine bit-identical to bulk reference"
-        if engine_check.get("identical"):
-            report.checks.append(check)
-        else:
-            report.violations.append(
-                f"{name}: events engine diverged from the bulk reference"
-            )
     for name, base_cell in sorted(baseline.get("cells", {}).items()):
         cell = current_cells.get(name)
         if cell is None:
@@ -502,9 +487,7 @@ def compare_defended_hammer(
     correctness property, no tolerance), and each cell's *speedup
     ratio* -- which transfers across runner classes, unlike wall-clock
     -- must not have shrunk more than ``speedup_tolerance`` versus the
-    committed baseline.  Cells that also recorded the events engine
-    (``events_identical``) must report it bit-identical to the same
-    scalar reference.
+    committed baseline.
     """
     report = RegressionReport()
     current_defenses = current.get("defenses", {})
@@ -512,10 +495,6 @@ def compare_defended_hammer(
         if not cell.get("results_identical", False):
             report.violations.append(
                 f"{name}: bulk engine diverged from the scalar reference"
-            )
-        if "events_identical" in cell and not cell["events_identical"]:
-            report.violations.append(
-                f"{name}: events engine diverged from the scalar reference"
             )
     for name, base_cell in sorted(baseline.get("defenses", {}).items()):
         cell = current_defenses.get(name)
@@ -653,9 +632,6 @@ def compare_bakeoff(
       injection's detection latency recorded, and post-recovery
       accuracy within the cell's committed ``accuracy_budget_pct`` of
       the clean baseline.
-    * **Engine equivalence** (no tolerance): every serving cell that
-      recorded an ``engine_check`` must report the bulk and events
-      payloads bit-identical.
     * **Prevention intact** (no tolerance): each DRAM-Locker serving
       cell's victim flip-event count equals the baseline's -- zero for
       cells the baseline does not know.
@@ -731,17 +707,6 @@ def compare_bakeoff(
                 report.checks.append(check)
 
     current_serving = current.get("serving_cells", {})
-    for name, cell in sorted(current_serving.items()):
-        engine_check = cell.get("engine_check")
-        if engine_check is None:
-            continue
-        check = f"{name}: events engine bit-identical to bulk reference"
-        if engine_check.get("identical"):
-            report.checks.append(check)
-        else:
-            report.violations.append(
-                f"{name}: events engine diverged from the bulk reference"
-            )
     for name, base_cell in sorted(baseline.get("serving_cells", {}).items()):
         cell = current_serving.get(name)
         if cell is None:

@@ -192,16 +192,6 @@ class DRAMLocker:
             return sys.maxsize
         return max(0, self._pending[0].due - self.rw_instructions - 1)
 
-    def next_deadline(self) -> int | None:
-        """The R/W-instruction count at which the earliest pending
-        restore / re-secure fires, or ``None`` when nothing is pending
-        -- the locker's closed-form event for the fast-forward core
-        (:func:`~repro.controller.events.next_act_event` reports it as
-        ``LOCKER_DEADLINE``, ``quiet_span()`` steps away)."""
-        if not self._pending:
-            return None
-        return self._pending[0].due
-
     def classify(self, logical_row: int) -> tuple[int, bool, bool]:
         """Non-mutating, uncounted preview of :meth:`on_request`'s verdict:
         ``(physical_row, locked, exposed)``."""

@@ -25,7 +25,7 @@ Telemetry is **observationally inert**: instruments only read values
 the simulation already computed; they never advance clocks, draw RNG,
 or touch float accumulators.  ``tests/test_telemetry_equivalence.py``
 pins payloads, RNG states, and SLA fingerprints bit-identical with
-telemetry on vs off across all three engines.
+telemetry on vs off across both execution engines.
 
 ``python -m repro.obs`` (see :mod:`repro.obs.__main__`) records a demo
 serving cell and exports/prints any of the three streams.

@@ -14,18 +14,18 @@ Every event is one dict with a stable schema:
   :meth:`context` around channel batch execution);
 * event-specific fields (``row``, ``count``, ``group``, ``mode``, ...).
 
-**Engine invariance.**  The bulk and events engines interleave
-*channels* differently (the events engine defers slice work into a
-``SystemEventQueue`` drained slowest-channel-first), but per-channel
-execution order -- and every per-channel device clock -- is pinned
-identical by the engine-equivalence contract.  :meth:`snapshot`
-therefore orders events canonically: a stable sort by
-``(slice, channel)``, with channel-less events (health probes, sheds,
-quarantines -- all emitted at deterministic points of the slice loop)
-sorting after that slice's channel events.  Within one ``(slice,
-channel)`` cell the arrival order is already identical across engines,
-so the canonical snapshot is too -- which
-``tests/test_telemetry_equivalence.py`` pins.
+**Canonical order.**  A serving slice interleaves channels: tenant
+streams alternate between channels and the boundary traffic
+(victim-owner reads, attacker bursts) runs after them, so the raw
+arrival order mixes channels.  :meth:`snapshot` therefore orders
+events canonically: a stable sort by ``(slice, channel)``, with
+channel-less events (health probes, sheds, quarantines -- all emitted
+at deterministic points of the slice loop) sorting after that slice's
+channel events.  Within one ``(slice, channel)`` cell the arrival
+order is kept; per-channel execution order is pinned identical across
+the scalar and bulk engines by the engine-equivalence contract, so the
+canonical snapshot is engine-invariant too --
+``tests/test_telemetry_equivalence.py`` pins it.
 """
 
 from __future__ import annotations

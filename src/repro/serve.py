@@ -36,6 +36,7 @@ import dataclasses
 import json
 import logging
 
+from .engines import EXECUTION_ENGINES
 from .obs.logging import LOG_LEVELS, configure_logging
 from .serving import (
     AdmissionConfig,
@@ -64,7 +65,7 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--policy", choices=("row", "block"), default="row")
     parser.add_argument("--defense", default="DRAM-Locker")
-    parser.add_argument("--engine", default="bulk")
+    parser.add_argument("--engine", choices=EXECUTION_ENGINES, default="bulk")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--solo", action="store_true",

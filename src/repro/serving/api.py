@@ -53,10 +53,14 @@ def config_from_dict(data: dict) -> ServingConfig:
 
     Nested admission/scaling dicts are re-hydrated into their
     dataclasses; unknown keys are ignored so payload config dicts (and
-    trace headers written by newer code) stay loadable.
+    trace headers written by newer code) stay loadable.  Headers that
+    name the retired ``"events"`` engine load as ``"bulk"``: the two
+    produced bit-identical payloads by contract.
     """
     known = {f.name for f in fields(ServingConfig)}
     kwargs = {key: value for key, value in data.items() if key in known}
+    if kwargs.get("engine") == "events":
+        kwargs["engine"] = "bulk"
     admission = kwargs.get("admission")
     if isinstance(admission, dict):
         admission = dict(admission)

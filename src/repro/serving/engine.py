@@ -30,8 +30,6 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .. import obs
 from ..controller.request import Kind, MemRequest, RequestRun
 from ..defenses.builders import resolve_serving_defense
@@ -260,13 +258,6 @@ class ServingSimulation:
             if config.scaling is not None
             else None
         )
-        # The shared cross-channel event queue (engine="events" only):
-        # every stream of a slice is submitted, then the slice drains
-        # in slowest-channel-first order.  ``None`` keeps the immediate
-        # per-stream execution of the bulk/scalar drives.
-        self._queue = (
-            self.system.event_queue() if config.engine == "events" else None
-        )
         # The victim owner's unlock-window stream: the same
         # guard-selection policy the attack experiments use, in system
         # row space, booked against the "victim-owner" tenant.
@@ -298,22 +289,17 @@ class ServingSimulation:
             self.victim_flip_events += 1
 
     def _owner_read(self, row: int) -> None:
-        """One privileged guard-row read, booked to the victim owner
-        (submitted to the event queue when one is driving)."""
+        """One privileged guard-row read, booked to the victim owner."""
         stream = [MemRequest(Kind.READ, row, privileged=True)]
         self._dispatch(stream, self._owner_sink)
 
     def _dispatch(self, requests, sink) -> None:
-        """Route one stream: immediately, or via the event queue."""
+        """Route one stream through the sharded system."""
         tel = obs.ACTIVE
         if tel is not None:
-            # Audit events emitted during execution carry the open
-            # slice; the events engine re-stamps before its drain.
+            # Audit events emitted during execution carry the open slice.
             tel.audit.set_field("slice", self._slices_closed)
-        if self._queue is None:
-            self.system.execute_stream(requests, sink)
-        else:
-            self.system.submit_stream(self._queue, requests, sink)
+        self.system.execute_stream(requests, sink)
 
     def _tenant_partitions(self) -> list[tuple[int, int]]:
         """Per-tenant system-row ranges that stay clear of every
@@ -436,11 +422,9 @@ class ServingSimulation:
     def run(self) -> dict:
         """Run every time slice and return the scenario payload.
 
-        A slice boundary is both serving-level events of the
-        fast-forward design: the **arrival burst edge** (the per-tenant
-        arrival RNGs draw at the top of the slice) and the
-        **SLA-histogram epoch** (under ``engine="events"`` the shared
-        queue drains at the bottom, after which every tenant's
+        A slice boundary is both the **arrival burst edge** (the
+        per-tenant arrival RNGs draw at the top of the slice) and the
+        **SLA-histogram epoch** (after :meth:`end_slice` every tenant's
         percentile books are current).
         """
         for slice_index in range(self.config.slices):
@@ -513,7 +497,7 @@ class ServingSimulation:
             self.op_shed += 1
             return False
         sink = sla.sink(tenant)
-        if arrival_s is None or self._queue is not None:
+        if arrival_s is None:
             if prepared is not None:
                 prepared()
             else:
@@ -537,8 +521,8 @@ class ServingSimulation:
 
     def end_slice(self) -> None:
         """Close one time slice: fault activation, victim-owner
-        traffic, the co-located attacker's burst, the event-queue drain
-        (``engine="events"``), and the channel scaler's epoch check.
+        traffic, the co-located attacker's burst, and the channel
+        scaler's epoch check.
 
         An injected :class:`~repro.eval.faults.ChannelFault` activates
         at the top of the boundary closing slice ``at_slice``: tenant
@@ -550,8 +534,8 @@ class ServingSimulation:
         """
         tel = obs.ACTIVE
         if tel is not None:
-            # The events engine's queued streams execute in the drain
-            # below: stamp their audit events with the closing slice.
+            # Boundary work belongs to the closing slice, also when no
+            # tenant op ran in it.
             tel.audit.set_field("slice", self._slices_closed)
         if (
             self.fault is not None
@@ -570,13 +554,11 @@ class ServingSimulation:
         self._victim_owner_slice()
         if self.config.colocated:
             self._attacker_slice()
-        if self._queue is not None:
-            self._queue.drain()
         if self._scaler is not None:
             self._scaler.on_epoch(self.sla)
         if self._health is not None:
-            # After the drain: the probe must see every byte the
-            # slice's traffic wrote before it checks the model.
+            # Last: the probe must see every byte the slice's traffic
+            # wrote before it checks the model.
             self._health.on_slice_end(self._slices_closed)
         self._slices_closed += 1
 

@@ -21,8 +21,8 @@ Deterministic **chaos injection** (``inject_at``) flips bits in weight
 rows at slice boundaries -- the bake-off's chaos cell uses it to
 measure detection latency and post-recovery accuracy.  Every decision
 keys off slice indices and device clocks, never wall time, so the
-health section of the payload is bit-identical across the bulk and
-events engines.
+health section of the payload is bit-identical across the scalar and
+bulk engines.
 """
 
 from __future__ import annotations

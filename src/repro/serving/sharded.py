@@ -31,7 +31,6 @@ from typing import Callable, Iterable, Sequence
 
 from .. import obs
 from ..controller.controller import MemoryController, make_summary_sink
-from ..controller.events import SystemEventQueue
 from ..controller.request import (
     Kind,
     MemRequest,
@@ -53,9 +52,9 @@ __all__ = ["ChannelState", "ShardedMemorySystem"]
 
 def _run_batch(state: "ChannelState", batch, sink) -> None:
     """Execute one per-channel sub-batch, stamping audit events with
-    the channel index.  Applies at execution/drain time, so the stamp
-    is identical whether the stream ran immediately (bulk) or deferred
-    through the event queue (events)."""
+    the channel index.  Applies at execution time, so the stamp is
+    identical whether the stream ran immediately or was handed off
+    (:meth:`ShardedMemorySystem.handoff_stream`)."""
     tel = obs.ACTIVE
     if tel is None:
         state.controller.execute_stream(batch, sink)
@@ -326,47 +325,6 @@ class ShardedMemorySystem:
         sink = make_summary_sink()
         self.execute_stream(requests, sink)
         return sink.summary
-
-    # ------------------------------------------------------------------
-    # Event-driven execution (the serving engine's "events" drive)
-    # ------------------------------------------------------------------
-    def event_queue(self) -> SystemEventQueue:
-        """One shared cross-channel event queue over this system.
-
-        The queue schedules submitted streams in slowest-channel-first
-        order while preserving per-channel and per-sink FIFO order --
-        the two constraints that make its payloads bit-identical to
-        immediate :meth:`execute_stream` calls (channels are
-        independent state machines; sinks fold observations in
-        first-seen order).  The serving engine drains it once per time
-        slice (the SLA-histogram epoch).
-        """
-        return SystemEventQueue(
-            lambda channel: self.channels[channel].device.now_ns
-        )
-
-    def submit_stream(
-        self, queue: SystemEventQueue, requests: Sequence[MemRequest], sink
-    ) -> None:
-        """Enqueue a stream on ``queue`` for clock-ordered execution.
-
-        Routing and per-channel sub-batching are identical to
-        :meth:`execute_stream` -- translation happens now, execution at
-        drain time.  A stream spanning several channels is submitted as
-        one atomic item on every involved channel, so its sub-batches
-        run back to back in original order.
-        """
-        batches = self._batches(requests)
-        if not batches:
-            return
-        channels = tuple(dict.fromkeys(state.index for state, _ in batches))
-
-        def run_batches() -> None:
-            """Drain this submission's per-channel batches, in order."""
-            for state, batch in batches:
-                _run_batch(state, batch, sink)
-
-        queue.submit(channels, sink, run_batches)
 
     # ------------------------------------------------------------------
     # Observation

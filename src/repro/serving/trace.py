@@ -136,11 +136,22 @@ class Trace:
             seed: The seed the workload (and arrival stream) derived
                 from; replay re-derives every simulation RNG from it.
             meta: Free-form JSON-serializable recorder context.
+
+        Raises:
+            ValueError: On a non-positive geometry, or an op whose
+                slice lies outside ``[0, slices)``.
         """
         if slices <= 0 or slice_duration_s <= 0:
             raise ValueError("slices and slice_duration_s must be positive")
         self.ops = list(ops)
         self.slices = int(slices)
+        for position, op in enumerate(self.ops):
+            if not 0 <= op.slice_index < self.slices:
+                raise ValueError(
+                    f"trace op {position} ({op.tenant} {op.kind} at "
+                    f"{op.arrival_s}s) has slice {op.slice_index}, "
+                    f"outside [0, {self.slices})"
+                )
         self.slice_duration_s = float(slice_duration_s)
         self.seed = int(seed)
         self.meta = meta or {}

@@ -263,7 +263,7 @@ def test_hammer_issues_run_length_requests():
 
 
 # ----------------------------------------------------------------------
-# Defense-matrix equivalence: every registered defense, three engines
+# Defense-matrix equivalence: every registered defense, three execution paths
 # ----------------------------------------------------------------------
 DEFENSE_NAMES = sorted(
     name for name, builder in DEFENSE_BUILDERS.items() if builder is not None

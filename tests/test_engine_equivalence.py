@@ -1,20 +1,21 @@
-"""The scalar ⊂ bulk ⊂ events contract, end to end.
+"""The scalar ⊂ bulk contract, end to end.
 
 ``docs/ARCHITECTURE.md`` documents the contract; this suite enforces
-it across the grid the events engine must survive: every registered
-defense, locker unlock-SWAP windows (including swap-failure RNG
-draws), refresh-tick edge alignment, and multi-channel serving cells.
-"Identical" means bit-identical -- ``RequestResult`` fields, the float
-accumulators in ``MemoryStats``, hammer counters, locker and defense
-bookkeeping, and whole serving payloads.
+it across every registered defense, locker unlock-SWAP windows
+(including swap-failure RNG draws), refresh-tick edge alignment,
+multi-channel serving cells, and a hypothesis-generated grid over all
+of those at once.  "Identical" means bit-identical -- ``RequestResult``
+fields, the float accumulators in ``MemoryStats``, hammer counters,
+locker and defense bookkeeping, and whole serving payloads.
 """
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.controller import Kind, MemRequest, MemoryController, RequestRun
-from repro.controller.controller import ENGINES
 from repro.dram import DRAMConfig, DRAMDevice, VulnerabilityMap
+from repro.engines import EXECUTION_ENGINES
 from repro.eval.harness import DEFENDED_HAMMER_DEFENSES
 from repro.locker import DRAMLocker, LockerConfig
 from repro.serving import ServingConfig, run_serving
@@ -25,7 +26,7 @@ DEFENSE_NAMES = [
     if builder is not None
 ]
 
-FAST_ENGINES = [engine for engine in ENGINES if engine != "scalar"]
+FAST_ENGINES = [engine for engine in EXECUTION_ENGINES if engine != "scalar"]
 
 
 # ----------------------------------------------------------------------
@@ -60,7 +61,7 @@ def _build(engine, *, defense_name=None, protected=False, trh=100,
 def _adversarial_stream():
     """Unlock-SWAP openers (privileged reads of locked rows), hammering
     inside and outside the exposure windows, relock deadlines crossed
-    mid-run, and long undefended bursts the events engine fuses."""
+    mid-run, and long undefended bursts spanning refresh ticks."""
     requests = []
     for _ in range(3):
         requests.append(MemRequest(Kind.READ, 21, privileged=True))
@@ -131,7 +132,7 @@ def test_all_engines_agree_per_defense(name):
 def test_all_engines_agree_across_unlock_swap_windows(relock_interval):
     """Exposure windows opened by privileged reads, restore deadlines
     crossed mid-hammer-run, and the swap-failure RNG stream (drawn at
-    execution) must line up across all three engines."""
+    execution) must line up across the engines."""
     reference = _run(
         "scalar", protected=True, relock_interval=relock_interval
     )
@@ -145,7 +146,7 @@ def test_all_engines_agree_across_unlock_swap_windows(relock_interval):
 def test_refresh_tick_edge_alignment(engine):
     """ACT-run lengths that end one step before, exactly on, and one
     step after a refresh tick (and spanning several ticks) -- the
-    boundary cases the fused epoch's searchsorted discipline must get
+    boundary cases the bulk engine's one-step safety margin must get
     exactly right."""
     probe_device, probe_controller, _, _ = _build("scalar", trh=10**6)
     step_ns = probe_device.timing.trc
@@ -208,9 +209,126 @@ def test_serving_payloads_identical_across_engines(defense, channels):
         assert _serving_payload(engine, defense, channels) == reference, engine
 
 
-def test_serving_baseline_defense_events_matches_bulk():
-    # One baseline-defense cell (chunked fallback inside the events
-    # engine) at the full three-engine depth.
+def test_serving_baseline_defense_bulk_matches_scalar():
+    # One baseline-defense cell: bulk chunks bounded by the defense's
+    # planner instead of a whole-run plan.
     reference = _serving_payload("scalar", "TRR", 2)
     for engine in FAST_ENGINES:
         assert _serving_payload(engine, "TRR", 2) == reference, engine
+
+
+# ----------------------------------------------------------------------
+# Generated grid: streams x defense x locker x relock x TRH x tick offset
+# ----------------------------------------------------------------------
+LOCKED_ROWS = (9, 11, 21)
+STREAM_ROWS = LOCKED_ROWS + (10, 33, 50)
+
+#: One stream segment: ``("act", row, count, as_run)`` -- ``count``
+#: attacker ACTs, as a :class:`RequestRun` or a plain list -- or
+#: ``("read"|"write", row, _, privileged)``; a privileged access to a
+#: locked row opens an unlock-SWAP window.
+SEGMENTS = st.lists(
+    st.tuples(
+        st.sampled_from(("act", "act", "read", "write")),
+        st.sampled_from(STREAM_ROWS),
+        st.integers(1, 600),
+        st.booleans(),
+    ),
+    min_size=4,
+    max_size=12,
+)
+
+
+def _calls(segments):
+    """Group segments into controller calls: every ``RequestRun`` is its
+    own call, consecutive list segments share one (so same-row ACTs
+    from adjacent segments merge into one run)."""
+    calls = []
+    for kind, row, count, flag in segments:
+        if kind == "act":
+            request = MemRequest(Kind.ACT, row, privileged=False)
+            if flag:
+                calls.append(RequestRun(request, count))
+                continue
+            requests = [request] * count
+        else:
+            kind = Kind.READ if kind == "read" else Kind.WRITE
+            requests = [MemRequest(kind, row, privileged=flag)]
+        if calls and isinstance(calls[-1], list):
+            calls[-1] += requests
+        else:
+            calls.append(requests)
+    return calls
+
+
+def _defense_state(defense):
+    if defense is None:
+        return None
+    rng = getattr(defense, "rng", None)
+    return (
+        defense.mitigation_ns_total,
+        defense.actions,
+        [defense.translate(row) for row in STREAM_ROWS],
+        None if rng is None else rng.bit_generator.state,
+    )
+
+
+def _run_generated(engine, calls, defense, protected, relock_interval,
+                   trh, offset_ns):
+    builder = DEFENDED_HAMMER_DEFENSES[defense]
+    device, controller, locker, installed = _build(
+        engine,
+        defense_name=defense if builder is not None else None,
+        protected=protected or defense == "DRAM-Locker",
+        trh=trh,
+        relock_interval=relock_interval,
+    )
+    device.advance(offset_ns)
+    results, error = [], None
+    for call in calls:
+        try:
+            results += controller.execute_batch(call)
+        except RuntimeError as exc:
+            # A swapping defense whose hook fires on a READ/WRITE row
+            # miss closes the bank before the data bursts, and the
+            # device refuses the access (a known scalar-path defect,
+            # see ROADMAP.md).  Both engines must fail on the same
+            # request with the same state behind them.
+            error = str(exc)
+            break
+    return (
+        error,
+        _result_fields(results),
+        _device_state(device),
+        _locker_state(locker),
+        _defense_state(installed),
+    )
+
+
+@pytest.mark.parametrize("defense", sorted(DEFENDED_HAMMER_DEFENSES))
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(
+    segments=SEGMENTS,
+    protected=st.booleans(),
+    relock_interval=st.integers(20, 400),
+    trh=st.integers(32, 256),
+    offset_ns=st.integers(0, 7800),
+)
+def test_generated_streams_identical_across_engines(
+    defense, segments, protected, relock_interval, trh, offset_ns
+):
+    """Every registered defense (with or without a locker in front)
+    over generated ACT lists, ``RequestRun``s and unlock-SWAP openers.
+    The defense is a parameter rather than a draw so each one gets its
+    own examples: derandomized draws over 14 names leave some unseen."""
+    calls = _calls(segments)
+    reference = _run_generated(
+        "scalar", calls, defense, protected, relock_interval, trh,
+        offset_ns,
+    )
+    for engine in FAST_ENGINES:
+        state = _run_generated(
+            engine, calls, defense, protected, relock_interval, trh,
+            offset_ns,
+        )
+        assert state == reference, engine

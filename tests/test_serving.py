@@ -492,19 +492,6 @@ class TestCompareServing:
         # ...but drifting away from the pinned count (even to zero) fails.
         assert not compare_serving(_serving_artifact(), baseline).ok
 
-    def test_engine_check_divergence_fails(self):
-        current = _serving_artifact()
-        current["cells"]["dram-locker-ch1"]["engine_check"] = {
-            "identical": False, "bulk_wall_s": 0.1, "events_wall_s": 0.1,
-        }
-        report = compare_serving(current, _serving_artifact())
-        assert not report.ok
-        assert any("events engine" in v for v in report.violations)
-        current["cells"]["dram-locker-ch1"]["engine_check"]["identical"] = True
-        report = compare_serving(current, _serving_artifact())
-        assert report.ok
-        assert any("bit-identical" in c for c in report.checks)
-
     def test_accuracy_change_fails(self):
         current = _serving_artifact()
         current["victim"].update(

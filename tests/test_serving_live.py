@@ -17,7 +17,9 @@ Pins the PR's contracts:
 """
 
 import dataclasses
+import json
 
+import numpy as np
 import pytest
 
 from repro.attacks.registry import AttackContext
@@ -27,7 +29,6 @@ from repro.dram.config import DRAMConfig
 from repro.dram.device import DRAMDevice
 from repro.dram.vulnerability import VulnerabilityMap
 from repro.engines import (
-    ENGINES,
     EXECUTION_ENGINES,
     SEARCH_ENGINES,
     resolve_engine,
@@ -89,12 +90,41 @@ class TestTraceRoundTrip:
         with pytest.raises(ValueError, match="suffix"):
             trace.save(tmp_path / "trace.csv")
 
+    @pytest.mark.parametrize("suffix", ["npz", "jsonl"])
+    def test_out_of_range_slice_rejected(self, tmp_path, suffix):
+        """An op slice outside ``[0, slices)`` fails at load, naming the
+        op -- never silently lands in the last slice (``-1``) or
+        surfaces later as a bare ``IndexError``."""
+        trace = record_serving_trace(_small_config(slices=4))
+        path = tmp_path / f"trace.{suffix}"
+        for bad in (-1, trace.slices):
+            trace.save(path)
+            _set_first_op_slice(path, bad)
+            with pytest.raises(ValueError, match=f"trace op 0 .* slice {bad}"):
+                Trace.load(path)
+
+
+def _set_first_op_slice(path, value: int) -> None:
+    """Rewrite the first op's slice index in a saved trace file."""
+    if path.suffix == ".jsonl":
+        lines = path.read_text(encoding="utf-8").splitlines()
+        entry = json.loads(lines[1])
+        entry["slice"] = value
+        lines[1] = json.dumps(entry)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays["op_slice"][0] = value
+    with open(path, "wb") as handle:
+        np.savez_compressed(handle, **arrays)
+
 
 # ----------------------------------------------------------------------
 # Replay equivalence
 # ----------------------------------------------------------------------
 class TestReplayEquivalence:
-    @pytest.mark.parametrize("engine", ["bulk", "events"])
+    @pytest.mark.parametrize("engine", EXECUTION_ENGINES)
     def test_payload_bit_identical(self, engine):
         config = _small_config(engine=engine)
         trace = record_serving_trace(config)
@@ -104,6 +134,24 @@ class TestReplayEquivalence:
         # The replay payload carries the live section on top.
         assert replayed["live"]["pacing"]["speedup"] == 0.0
         assert replayed["live"]["pacing"]["offered"] == len(trace)
+
+    def test_retired_events_engine_header_replays_as_bulk(
+        self, tmp_path, capsys
+    ):
+        """Traces recorded while the ``events`` engine existed embed
+        ``"engine": "events"`` in their header.  They replay on bulk,
+        whose payloads the events engine matched bit for bit."""
+        config = _small_config()
+        trace = record_serving_trace(config)
+        trace.meta["serving_config"]["engine"] = "events"
+        path = trace.save(tmp_path / "old.jsonl")
+        replayed = replay_trace(Trace.load(path))
+        assert replayed["config"]["engine"] == "bulk"
+        assert replay_neutral(replayed) == replay_neutral(
+            ServingSimulation(config).run()
+        )
+        assert serve_main(["replay", path, "--verify"]) == 0
+        assert "bit-identical" in capsys.readouterr().out
 
     def test_locker_and_rng_state_identical(self):
         """Bit-identity goes deeper than the payload: per-channel lock
@@ -289,7 +337,7 @@ class TestHandoffStream:
 # ----------------------------------------------------------------------
 class TestEngines:
     def test_constants(self):
-        assert ENGINES == EXECUTION_ENGINES == ("scalar", "bulk", "events")
+        assert EXECUTION_ENGINES == ("scalar", "bulk")
         assert SEARCH_ENGINES == ("suffix", "full")
         assert resolve_engine("bulk") == "bulk"
         assert (
@@ -347,6 +395,14 @@ class TestServeCLI:
             serve_main(["live", "trace.npz"])  # --speedup required
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("engine", ["events", "foo"])
+    def test_unknown_engine_exits_2(self, tmp_path, engine):
+        out = str(tmp_path / "cli.npz")
+        with pytest.raises(SystemExit) as excinfo:
+            serve_main(["record", *self.ARGS, "--engine", engine,
+                        "--out", out])
+        assert excinfo.value.code == 2
+
     def test_live_serving_error_exits_3(self, tmp_path, capsys, monkeypatch):
         import repro.serve as serve_module
         from repro.serving import LiveServingError
@@ -373,7 +429,6 @@ def _live_artifact() -> dict:
         "schema": "dram-locker-serving-live-bench/1",
         "replay": {"cells": {
             "bulk-ch2": {"identical": True},
-            "events-ch2": {"identical": True},
         }},
         "overload": {"cells": {
             "open": {"sojourn_p99_ns": 12000.0, "shed": 0,
@@ -438,7 +493,7 @@ class TestServingLiveGate:
     def test_canned_set_shape(self):
         scenarios = serving_live_scenarios()
         names = [scenario.name for scenario in scenarios]
-        assert len(names) == len(set(names)) >= 7
+        assert len(names) == len(set(names)) >= 6
         assert all(
             scenario.runner == "serving_live" for scenario in scenarios
         )
@@ -451,4 +506,4 @@ class TestServingLiveGate:
             dict(scenario.params).get("engine", "bulk")
             for scenario in verified
         }
-        assert engines == {"bulk", "events"}
+        assert engines == {"bulk"}

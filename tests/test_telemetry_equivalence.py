@@ -4,11 +4,11 @@ The two halves of the :mod:`repro.obs` contract:
 
 * **On/off bit-identity** -- payloads, device/locker state (including
   the swap-engine RNG stream), and SLA fingerprints are identical with
-  telemetry enabled vs disabled, across all three engines.  Telemetry
+  telemetry enabled vs disabled, on both execution engines.  Telemetry
   only *reads* values the simulation already computed.
 * **Stream determinism** -- the canonical audit snapshot of a serving
   cell is a pure function of the cell (identical across repeats and
-  across the bulk/events engines), and merged matrix metrics are
+  across the scalar/bulk engines), and merged matrix metrics are
   invariant to the worker count.
 """
 
@@ -16,8 +16,8 @@ import pytest
 
 from repro import obs
 from repro.controller import Kind, MemRequest, MemoryController
-from repro.controller.controller import ENGINES
 from repro.dram import DRAMConfig, DRAMDevice, VulnerabilityMap
+from repro.engines import EXECUTION_ENGINES
 from repro.eval.harness import (
     DEFENDED_HAMMER_DEFENSES,
     run_matrix,
@@ -87,7 +87,7 @@ def _controller_state(engine, defense_name):
     )
 
 
-@pytest.mark.parametrize("engine", list(ENGINES))
+@pytest.mark.parametrize("engine", EXECUTION_ENGINES)
 @pytest.mark.parametrize("defense_name", [None, "TRR", "Graphene"])
 def test_controller_state_identical_with_telemetry_on_and_off(
     engine, defense_name
@@ -119,7 +119,7 @@ def _serving_payload(engine, defense):
     )
 
 
-@pytest.mark.parametrize("engine", list(ENGINES))
+@pytest.mark.parametrize("engine", EXECUTION_ENGINES)
 @pytest.mark.parametrize("defense", ["None", "DRAM-Locker"])
 def test_serving_payload_identical_with_telemetry_on_and_off(engine, defense):
     reference = _serving_payload(engine, defense)
@@ -132,7 +132,7 @@ def test_serving_payload_identical_with_telemetry_on_and_off(engine, defense):
 
 
 # ----------------------------------------------------------------------
-# Audit-stream determinism: chaos cell, bulk vs events
+# Audit-stream determinism: chaos cell, scalar vs bulk
 # ----------------------------------------------------------------------
 def _chaos_audit_snapshot(engine, victim):
     """Canonical audit snapshot of a RADAR serving cell with a
@@ -180,13 +180,13 @@ def test_chaos_audit_stream_deterministic_across_repeats(chaos_victim):
     assert [event["seq"] for event in events] == list(range(len(events)))
 
 
-def test_chaos_audit_stream_identical_bulk_vs_events(chaos_victim):
+def test_chaos_audit_stream_identical_scalar_vs_bulk(chaos_victim):
     bulk_events, bulk_kinds = _chaos_audit_snapshot("bulk", chaos_victim)
-    events_events, events_kinds = _chaos_audit_snapshot(
-        "events", chaos_victim
+    scalar_events, scalar_kinds = _chaos_audit_snapshot(
+        "scalar", chaos_victim
     )
-    assert events_kinds == bulk_kinds
-    assert events_events == bulk_events
+    assert scalar_kinds == bulk_kinds
+    assert scalar_events == bulk_events
 
 
 # ----------------------------------------------------------------------
