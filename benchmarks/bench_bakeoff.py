@@ -18,8 +18,8 @@ monitor riding them, and the RADAR chaos cell -- and records:
   baseline, else the artifact is refused;
 * **prevention intact** -- DRAM-Locker serving cells must keep zero
   victim flip events, else the artifact is refused;
-* per-cell **SLA fingerprints** the nightly ``compare_bakeoff`` gate
-  holds to exact equality.
+* per-cell **SLA fingerprints** the nightly bake-off gate (``GATES``
+  in ``repro.eval.regression``) holds to exact equality.
 
 Run with:  python benchmarks/bench_bakeoff.py [--attacks bfa pta ...]
 """
@@ -36,7 +36,7 @@ from repro.eval.harness import (
     bakeoff_scenarios,
     run_scenario,
 )
-from repro.eval.regression import BAKEOFF_SCHEMA, host_meta
+from repro.eval.regression import BAKEOFF_SCHEMA, host_meta, sla_fingerprint
 
 ARTIFACT = "BENCH_bakeoff.json"
 
@@ -54,21 +54,6 @@ def _run(scenario: Scenario) -> tuple[float, dict]:
     if not result.ok:
         raise SystemExit(f"{scenario.name} failed:\n{result.error}")
     return result.wall_clock_s, result.payload
-
-
-def _sla_fingerprint(serving: dict) -> dict:
-    """The deterministic SLA stats the nightly gate pins exactly."""
-    aggregate = serving["sla"]["aggregate"]
-    fingerprint = {
-        "requests": aggregate["requests"],
-        "issued": aggregate["issued"],
-        "blocked": aggregate["blocked"],
-    }
-    tenant0 = serving["sla"].get("tenants", {}).get("tenant-0", {})
-    latency = tenant0.get("latency_ns")
-    if latency:
-        fingerprint["tenant0_latency_ns"] = latency
-    return fingerprint
 
 
 def _attack_cell(payload: dict) -> dict:
@@ -115,7 +100,7 @@ def _serving_cell(wall_s: float, payload: dict) -> dict:
         "detections": health["detections"],
         "quarantines": health["quarantines"],
         "last_probe_accuracy": health["last_probe_accuracy"],
-        "sla_fingerprint": _sla_fingerprint(serving),
+        "sla_fingerprint": sla_fingerprint(serving),
     }
 
 

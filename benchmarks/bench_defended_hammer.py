@@ -7,6 +7,10 @@ Python ``execute()``, one ``on_activate`` dispatch, one
 ``RequestResult`` per activation) and once on the bulk engine
 (``engine="bulk"``: run-length requests, defense-planned chunks,
 summary-mode accounting), and records the per-defense wall-clocks.
+A bulk campaign lasts only 1-26 ms, too short to time on its own, so
+each cell times batches of campaigns lasting at least ``SAMPLE_S`` and
+records the median per-campaign time over ``--repeats`` such samples;
+the speedup is the median of the samples' scalar/bulk ratios.
 
 Both engines must produce **identical scenario payloads** (same flip
 outcomes, issued/blocked tallies, memory stats bit-for-bit, same
@@ -19,7 +23,9 @@ Run with:  python benchmarks/bench_defended_hammer.py [--trh N]
 
 import argparse
 import json
+import math
 import os
+import statistics
 import time
 
 from repro.eval import Scale
@@ -47,36 +53,46 @@ DEFENSES = (
 TARGET_FAMILIES = ("TRR", "PARA", "Graphene", "Hydra", "Counter/Row")
 TARGET_SPEEDUP = 3.0
 
+#: Minimum wall-clock of one timed batch of campaigns.
+SAMPLE_S = 0.1
+
 
 def _cell_name(defense: str) -> str:
     return defense.lower().replace("/", "-")
 
 
-def _run_cell(defense: str, engine: str, trh: int, repeats: int):
-    """Best-of-``repeats`` wall-clock for one defended campaign; the
-    payload must be identical across repeats (campaigns are
-    deterministic), which doubles as a reproducibility check."""
-    best = float("inf")
-    payload = None
-    for _ in range(repeats):
-        scenario = Scenario(
+class _Campaigns:
+    """One defense cell's campaign on one engine, timed in batches of
+    at least ``SAMPLE_S``.  Every campaign's payload must be identical
+    (campaigns are deterministic), which doubles as a reproducibility
+    check."""
+
+    def __init__(self, defense: str, engine: str, trh: int):
+        self.scenario = Scenario(
             f"defended-{_cell_name(defense)}-{engine}",
             "defended_hammer",
             Scale.quick(),
             seed=0,
             params=(("defense", defense), ("trh", trh), ("engine", engine)),
         )
-        result = run_scenario(scenario)
+        self.payload = None
+        self.batch = math.ceil(SAMPLE_S / self._run())
+
+    def _run(self) -> float:
+        result = run_scenario(self.scenario)
         if not result.ok:
-            raise SystemExit(f"{scenario.name} failed:\n{result.error}")
-        if payload is not None and result.payload != payload:
+            raise SystemExit(f"{self.scenario.name} failed:\n{result.error}")
+        if self.payload is not None and result.payload != self.payload:
             raise SystemExit(
-                f"{scenario.name}: nondeterministic payload across repeats; "
-                "refusing to record"
+                f"{self.scenario.name}: nondeterministic payload across "
+                "repeats; refusing to record"
             )
-        payload = result.payload
-        best = min(best, result.wall_clock_s)
-    return best, payload
+        self.payload = result.payload
+        return result.wall_clock_s
+
+    def sample(self) -> float:
+        """Per-campaign wall-clock of one timed batch."""
+        return sum(self._run() for _ in range(self.batch)) / self.batch
 
 
 def _strip_engine(payload: dict) -> dict:
@@ -88,8 +104,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--trh", type=int, default=3000,
                         help="RowHammer threshold of the benched device")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="timing repeats per cell (best is recorded)")
+    parser.add_argument("--repeats", type=int, default=5,
+                        help="timed batches per cell (the median is recorded)")
     parser.add_argument("--out", default=os.path.join("benchmarks", "artifacts"))
     args = parser.parse_args(argv)
 
@@ -100,19 +116,19 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     defenses = {}
     for defense in DEFENSES:
-        scalar_s, scalar_payload = _run_cell(
-            defense, "scalar", args.trh, args.repeats
-        )
-        bulk_s, bulk_payload = _run_cell(
-            defense, "bulk", args.trh, args.repeats
-        )
-        identical = _strip_engine(scalar_payload) == _strip_engine(
-            bulk_payload
-        )
+        scalar = _Campaigns(defense, "scalar", args.trh)
+        bulk = _Campaigns(defense, "bulk", args.trh)
+        # Alternate the engines' batches so a change in host load hits
+        # both sides of a sample's ratio alike.
+        samples = [(scalar.sample(), bulk.sample()) for _ in range(args.repeats)]
+        scalar_s = statistics.median(s for s, _ in samples)
+        bulk_s = statistics.median(b for _, b in samples)
+        bulk_payload = bulk.payload
+        identical = _strip_engine(scalar.payload) == _strip_engine(bulk_payload)
         cell = {
             "scalar_s": round(scalar_s, 4),
             "bulk_s": round(bulk_s, 4),
-            "speedup": round(scalar_s / bulk_s, 2),
+            "speedup": round(statistics.median(s / b for s, b in samples), 2),
             "results_identical": identical,
             "flipped": bulk_payload["protected_bits_flipped"],
             "blocked": sum(o["blocked"] for o in bulk_payload["outcomes"]),

@@ -17,7 +17,8 @@ the :mod:`repro.obs` contract:
   and each cell's ``disabled_pct`` is that per-check cost times the
   number of guard sites hit (bounded below by the enabled run's
   update count) as a percentage of the cell's telemetry-off runtime.
-  ``compare_obs`` gates it under 1% absolute.
+  The nightly telemetry gate (``GATES`` in ``repro.eval.regression``)
+  holds it under 1% absolute.
 
 The ``enabled_ratio`` (on/off wall-clock) is also recorded; the gate
 only bounds its growth versus the committed baseline -- the enabled
@@ -34,7 +35,7 @@ import time
 from repro import obs
 from repro.eval import Scale
 from repro.eval.harness import Scenario, run_scenario
-from repro.eval.regression import OBS_SCHEMA, compare_obs, host_meta
+from repro.eval.regression import OBS_SCHEMA, host_meta
 
 ARTIFACT = "BENCH_obs.json"
 
@@ -119,11 +120,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeats", type=int, default=3,
                         help="timing repeats per cell (best is recorded)")
     parser.add_argument("--out", default=os.path.join("benchmarks", "artifacts"))
-    parser.add_argument(
-        "--check-against", default=None, metavar="BASELINE",
-        help="also gate the fresh artifact against this baseline "
-             "(exit 1 on regression)",
-    )
     args = parser.parse_args(argv)
 
     started = time.perf_counter()
@@ -176,14 +172,6 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"artifact: {path}")
-
-    if args.check_against is not None:
-        with open(args.check_against, encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        report = compare_obs(document, baseline)
-        print(report.summary())
-        if not report.ok:
-            return 1
     return 0
 
 

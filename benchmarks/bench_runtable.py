@@ -1,8 +1,8 @@
 """Records BENCH_runtable.json: fault-tolerant run-table orchestration.
 
 Exercises the fleet layer (``repro.eval.runtable``) end to end and
-records the three properties the nightly ``compare_runtable`` gate
-holds:
+records the three properties the nightly run-table gate (``GATES`` in
+``repro.eval.regression``) holds:
 
 * **checkpoint transparency** -- the demo table executed with a
   checkpoint journal must produce a results section bit-identical to

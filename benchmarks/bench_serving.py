@@ -17,7 +17,8 @@ a channel sweep per defense, and records:
   and bit-identical accuracy required, else the artifact is refused;
 * per-cell **SLA fingerprints** (request tallies + latency
   percentiles, all deterministic simulated quantities) that the
-  nightly ``compare_serving`` gate holds to exact equality.
+  nightly serving gate (``GATES`` in ``repro.eval.regression``) holds
+  to exact equality.
 
 Run with:  python benchmarks/bench_serving.py [--channels 1 4 8 16]
 """
@@ -29,7 +30,7 @@ import time
 
 from repro.eval import Scale
 from repro.eval.harness import Scenario, run_scenario
-from repro.eval.regression import SERVING_SCHEMA, host_meta
+from repro.eval.regression import SERVING_SCHEMA, host_meta, sla_fingerprint
 
 ARTIFACT = "BENCH_serving.json"
 
@@ -45,21 +46,6 @@ WIDE_SWEEP_CHANNELS = 8
 
 def _cell_name(defense: str, channels: int) -> str:
     return f"{defense.lower().replace('/', '-')}-ch{channels}"
-
-
-def _sla_fingerprint(payload: dict) -> dict:
-    """The deterministic SLA stats the nightly gate pins exactly."""
-    aggregate = payload["sla"]["aggregate"]
-    fingerprint = {
-        "requests": aggregate["requests"],
-        "issued": aggregate["issued"],
-        "blocked": aggregate["blocked"],
-    }
-    tenant0 = payload["sla"]["tenants"].get("tenant-0", {})
-    latency = tenant0.get("latency_ns")
-    if latency:
-        fingerprint["tenant0_latency_ns"] = latency
-    return fingerprint
 
 
 def _run_cell(params: tuple, repeats: int) -> tuple[float, dict]:
@@ -121,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
                     "protected": victim["protected"],
                     "colocated": colocated,
                     "victim_flip_events": victim["victim_flip_events"],
-                    "sla_fingerprint": _sla_fingerprint(payload),
+                    "sla_fingerprint": sla_fingerprint(payload),
                 }
                 name = _cell_name(defense, channels)
                 if not colocated:

@@ -13,7 +13,8 @@ control, and the wall-clock-paced threaded server -- and records:
   arriving faster), replayed with no admission vs sojourn-pressure
   shedding vs a per-tenant token bucket: sojourn p99, shed counts, and
   SLA fingerprints are all deterministic simulated quantities the
-  nightly ``compare_serving_live`` gate holds to exact equality.  The
+  nightly live-serving gate (``GATES`` in ``repro.eval.regression``)
+  holds to exact equality.  The
   recorder itself enforces that each admitted cell's sojourn p99 never
   exceeds the unadmitted one's and that pressure shedding lands within
   ``HOLD_SLACK`` x its target (probabilistic shedding converges to the
@@ -38,7 +39,7 @@ import os
 import time
 from dataclasses import replace
 
-from repro.eval.regression import SERVING_LIVE_SCHEMA, host_meta
+from repro.eval.regression import SERVING_LIVE_SCHEMA, host_meta, sla_fingerprint
 from repro.serving import (
     AdmissionConfig,
     ServingConfig,
@@ -63,21 +64,6 @@ HOLD_SLACK = 2.0
 
 #: Wall-clock budget the live smoke aims its speedup at.
 LIVE_WALL_TARGET_S = 0.3
-
-
-def _sla_fingerprint(payload: dict) -> dict:
-    """The deterministic SLA stats the nightly gate pins exactly."""
-    aggregate = payload["sla"]["aggregate"]
-    fingerprint = {
-        "requests": aggregate["requests"],
-        "issued": aggregate["issued"],
-        "blocked": aggregate["blocked"],
-    }
-    tenant0 = payload["sla"]["tenants"].get("tenant-0", {})
-    latency = tenant0.get("latency_ns")
-    if latency:
-        fingerprint["tenant0_latency_ns"] = latency
-    return fingerprint
 
 
 def _replay_cells() -> dict:
@@ -138,7 +124,7 @@ def _overload_cells() -> dict:
             "offered": pacing["offered"],
             "shed": result.shed_total,
             "shed_rate": round(result.shed_total / pacing["offered"], 4),
-            "sla_fingerprint": _sla_fingerprint(result.payload),
+            "sla_fingerprint": sla_fingerprint(result.payload),
         }
         if admission is not None:
             cell["p99_target_ns"] = target_ns
@@ -199,7 +185,7 @@ def _colocated_cell() -> dict:
         "offered": locked.live["pacing"]["offered"],
         "blocked": locked.sla["aggregate"]["blocked"],
         "attack_absorption": round(locked_rps / undefended_rps, 3),
-        "sla_fingerprint": _sla_fingerprint(locked.payload),
+        "sla_fingerprint": sla_fingerprint(locked.payload),
     }
     print(f"co-located: victim flips {cell['victim_flip_events']} "
           f"(undefended {cell['undefended_flip_events']})  "

@@ -246,10 +246,10 @@ class MatrixResult:
         """The ``BENCH_*.json`` document.  Everything except ``timing``
         and ``meta`` is a deterministic function of (scenarios,
         base_seed)."""
-        from .regression import host_meta
+        from .regression import HARNESS_SCHEMA, host_meta
 
         return {
-            "schema": "dram-locker-bench/1",
+            "schema": HARNESS_SCHEMA,
             "meta": host_meta(),
             "tag": self.tag,
             "base_seed": self.base_seed,

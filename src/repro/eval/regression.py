@@ -1,23 +1,32 @@
-"""Benchmark-regression checks over BENCH_*.json artifacts.
+"""Benchmark-regression gates over BENCH_*.json artifacts.
 
-The nightly CI job replays a harness matrix and compares the fresh
-artifact against a committed baseline: the build fails when wall-clock
-runtime or any *protected* accuracy (the quantity DRAM-Locker exists to
-preserve) regresses beyond tolerance.  The comparison logic lives here
-so it is unit-testable; ``benchmarks/check_regression.py`` is the thin
-CLI the workflow invokes.
+The nightly CI job replays benchmarks and gates each fresh artifact
+against a committed baseline.  Every gate lives in one table,
+:data:`GATES`, keyed by artifact schema, and :func:`check` runs the
+gate of a (current, baseline) pair; ``benchmarks/check_regression.py``
+is the thin CLI the workflows invoke.
 
-What counts as a protected accuracy:
+A gate is a tuple of rules built from four shapes:
 
-* ``attack`` scenarios with ``"protected": true`` -> ``final_accuracy``;
-* figure runners with per-defense curves -> the final accuracy recorded
-  under ``stats["with DRAM-Locker"]``;
-* everything else contributes no accuracy check (runtime still counts).
+* :func:`equal` -- a deterministic quantity (SLA fingerprint, shed or
+  flip count, event tally) equals the baseline's exactly;
+* :func:`floor` / :func:`ceiling` -- a ratio, accuracy or runtime moves
+  against the baseline's by at most the gate's fixed tolerance;
+* :func:`flag` -- a property the benchmark recorded about itself
+  (engine equivalence, conservation) is true;
+* ``missing=`` on :func:`each` / :func:`at` -- a section or cell the
+  baseline has is present in the current artifact.
+
+A few one-off predicates sit in the table as small named functions.
+Tolerances are constants, not knobs.  A value a ``floor``/``ceiling``
+rule needs but the artifact lacks is reported as a violation naming the
+cell and the key, never raised.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 import platform
 import subprocess
@@ -28,53 +37,47 @@ __all__ = [
     "ATTACK_SEARCH_SCHEMA",
     "BAKEOFF_SCHEMA",
     "DEFENDED_HAMMER_SCHEMA",
+    "GATES",
+    "HARNESS_SCHEMA",
     "OBS_SCHEMA",
     "RUNTABLE_BENCH_SCHEMA",
     "SERVING_LIVE_SCHEMA",
     "SERVING_SCHEMA",
     "RegressionReport",
-    "protected_accuracies",
-    "compare_artifacts",
-    "compare_attack_search",
-    "compare_bakeoff",
-    "compare_defended_hammer",
-    "compare_obs",
-    "compare_runtable",
-    "compare_serving",
-    "compare_serving_live",
+    "check",
     "host_meta",
     "load_artifact",
+    "protected_accuracies",
+    "sla_fingerprint",
 ]
 
 LOCKED_LABEL = "with DRAM-Locker"
 
-#: Schema tag of the attack-search microbenchmark artifact
-#: (``benchmarks/bench_attack_search.py``).
+# Schema tags: the scenario harness (``run_matrix``) and one per
+# ``benchmarks/bench_<name>.py`` artifact writer.
+HARNESS_SCHEMA = "dram-locker-bench/1"
 ATTACK_SEARCH_SCHEMA = "dram-locker-attack-search-bench/1"
-
-#: Schema tag of the defended-hammer microbenchmark artifact
-#: (``benchmarks/bench_defended_hammer.py``).
 DEFENDED_HAMMER_SCHEMA = "dram-locker-defended-hammer-bench/1"
-
-#: Schema tag of the serving benchmark artifact
-#: (``benchmarks/bench_serving.py``).
 SERVING_SCHEMA = "dram-locker-serving-bench/1"
-
-#: Schema tag of the live-frontend serving benchmark artifact
-#: (``benchmarks/bench_serving_live.py``).
 SERVING_LIVE_SCHEMA = "dram-locker-serving-live-bench/1"
-
-#: Schema tag of the run-table orchestration benchmark artifact
-#: (``benchmarks/bench_runtable.py``).
 RUNTABLE_BENCH_SCHEMA = "dram-locker-runtable-bench/1"
-
-#: Schema tag of the defense bake-off artifact
-#: (``benchmarks/bench_bakeoff.py``).
 BAKEOFF_SCHEMA = "dram-locker-bakeoff-bench/1"
-
-#: Schema tag of the telemetry-overhead benchmark artifact
-#: (``benchmarks/bench_obs.py``).
 OBS_SCHEMA = "dram-locker-obs-bench/1"
+
+# Fractional tolerances of the gates: each is the bound the CI
+# workflows gate at.
+RUNTIME_TOLERANCE = 0.10
+ACCURACY_TOLERANCE = 0.10
+SPEEDUP_TOLERANCE = 0.35
+SCALING_TOLERANCE = 0.25
+OVERHEAD_TOLERANCE = 0.75
+LATENCY_TOLERANCE = 0.25
+ENABLED_TOLERANCE = 0.50
+#: Absolute budget (percent of runtime) of the telemetry-off guards.
+DISABLED_BUDGET_PCT = 1.0
+
+_MISSING = "{what} missing from current artifact"
+_MALFORMED = "{name}: {side} artifact has no {key!r}"
 
 
 def load_artifact(path: str) -> dict:
@@ -119,8 +122,31 @@ def host_meta() -> dict:
     }
 
 
+def sla_fingerprint(payload: dict) -> dict:
+    """The deterministic SLA stats the serving gates pin exactly: the
+    aggregate request/issued/blocked tallies plus tenant-0's latency
+    percentiles, all simulated quantities."""
+    aggregate = payload["sla"]["aggregate"]
+    fingerprint = {
+        "requests": aggregate["requests"],
+        "issued": aggregate["issued"],
+        "blocked": aggregate["blocked"],
+    }
+    tenant0 = payload["sla"].get("tenants", {}).get("tenant-0", {})
+    latency = tenant0.get("latency_ns")
+    if latency:
+        fingerprint["tenant0_latency_ns"] = latency
+    return fingerprint
+
+
 def protected_accuracies(artifact: dict) -> dict[str, float]:
-    """Every protected-accuracy metric an artifact carries, by name."""
+    """Every protected-accuracy metric a harness artifact carries, by name:
+
+    * ``attack`` scenarios with ``"protected": true`` -> ``final_accuracy``;
+    * figure runners with per-defense curves -> the final accuracy
+      recorded under ``stats["with DRAM-Locker"]``;
+    * everything else contributes none (runtime still counts).
+    """
     metrics: dict[str, float] = {}
     for name, payload in artifact.get("results", {}).items():
         if not isinstance(payload, dict) or "error" in payload:
@@ -147,6 +173,14 @@ class RegressionReport:
     def ok(self) -> bool:
         return not self.violations
 
+    def record(self, passed: bool, check: str | None, violation: str | None = None) -> None:
+        """File ``check`` when ``passed`` (nothing if it is None), else
+        ``violation`` -- the check text itself when none is given."""
+        if not passed:
+            self.violations.append(violation or check)
+        elif check is not None:
+            self.checks.append(check)
+
     def summary(self) -> str:
         lines = [f"{len(self.checks)} check(s), {len(self.violations)} violation(s)"]
         lines += [f"  ok: {check}" for check in self.checks]
@@ -154,696 +188,471 @@ class RegressionReport:
         return "\n".join(lines)
 
 
-def compare_artifacts(
-    current: dict,
-    baseline: dict,
-    runtime_tolerance: float = 0.10,
-    accuracy_tolerance: float = 0.10,
-) -> RegressionReport:
-    """Fail when runtime grew or protected accuracy shrank by more than
-    the given fractional tolerances relative to the baseline."""
-    report = RegressionReport()
+# ----------------------------------------------------------------------
+# Rules.  A rule takes ``(name, cell, base_cell, report)``: a current
+# cell, its baseline twin ({} when the baseline has none), and the
+# report it files into.  Message templates see the cell's fields --
+# an absent one reads None, as ``dict.get`` would, unless ``fill``
+# gives it a default -- plus ``name``, ``key``, ``cur``, ``base`` and
+# ``bound``.
+# ----------------------------------------------------------------------
+class _Fields(dict):
+    def __missing__(self, key):
+        return None
 
-    for payload_name, payload in current.get("results", {}).items():
-        if isinstance(payload, dict) and "error" in payload:
-            report.violations.append(
-                f"scenario {payload_name!r} failed: "
-                f"{str(payload['error']).splitlines()[-1]}"
-            )
 
-    base_total = baseline.get("timing", {}).get("total_s")
-    cur_total = current.get("timing", {}).get("total_s")
-    if base_total and cur_total is not None:
-        limit = base_total * (1.0 + runtime_tolerance)
-        check = (
-            f"runtime {cur_total:.2f}s vs baseline {base_total:.2f}s "
-            f"(limit {limit:.2f}s)"
+def _say(template, name, cell, fill=None, **values):
+    return template.format_map(_Fields({**(fill or {}), **cell, "name": name, **values}))
+
+
+def equal(key, check, diverged=None, default=None, fill=None):
+    """``cell[key]`` must equal the baseline's exactly; skipped when the
+    baseline has no value (``default`` stands in for an absent key on
+    both sides)."""
+
+    def rule(name, cell, base_cell, report):
+        expected = base_cell.get(key, default)
+        if expected is None:
+            return
+        actual = cell.get(key, default)
+        values = dict(key=key, cur=actual, base=expected, fill=fill)
+        report.record(
+            actual == expected,
+            _say(check, name, cell, **values),
+            diverged and _say(diverged, name, cell, **values),
         )
-        if cur_total > limit:
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
 
-    base_acc = protected_accuracies(baseline)
-    cur_acc = protected_accuracies(current)
-    for name, base_value in sorted(base_acc.items()):
-        if name not in cur_acc:
-            report.violations.append(
-                f"protected accuracy for {name!r} missing from current artifact"
-            )
-            continue
-        floor = base_value * (1.0 - accuracy_tolerance)
-        check = (
-            f"{name}: protected accuracy {cur_acc[name]:.2f}% vs baseline "
-            f"{base_value:.2f}% (floor {floor:.2f}%)"
+    return rule
+
+
+def flag(key, check, violation=None, default=False, fill=None):
+    """``cell[key]`` must be true.  With no ``check`` text the rule
+    reports failures only."""
+
+    def rule(name, cell, base_cell, report):
+        report.record(
+            bool(cell.get(key, default)),
+            check and _say(check, name, cell, fill),
+            violation and _say(violation, name, cell, fill),
         )
-        if cur_acc[name] < floor:
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
-    return report
+
+    return rule
 
 
-def compare_attack_search(
-    current: dict,
-    baseline: dict,
-    speedup_tolerance: float = 0.25,
-) -> RegressionReport:
-    """Regression gate for the attack-search microbenchmark artifact.
+def _bounded(key, factor, within, check, required):
+    def rule(name, cell, base_cell, report):
+        actual, expected = cell.get(key), base_cell.get(key)
+        if actual is None or expected is None:
+            if required:
+                side = "current" if actual is None else "baseline"
+                report.violations.append(_MALFORMED.format(name=name, side=side, key=key))
+            return
+        bound = expected * factor
+        report.record(
+            within(actual, bound),
+            _say(check, name, cell, cur=actual, base=expected, bound=bound),
+        )
 
-    Two things must hold: the suffix engine still matches the
-    full-forward reference bit-for-bit in every recorded cell (a
-    correctness property, no tolerance), and each cell's *speedup
-    ratio* has not shrunk more than ``speedup_tolerance`` versus the
-    committed baseline.  Ratios -- unlike wall-clock seconds --
-    transfer across runner classes, so this check is meaningful even
-    when the absolute timings are not.
+    return rule
+
+
+def floor(key, tolerance, check, required=True):
+    """``cell[key]`` may shrink at most ``tolerance`` (fractional) below
+    the baseline's.  A missing value is a violation when ``required``,
+    else the rule is skipped."""
+    return _bounded(key, 1.0 - tolerance, operator.ge, check, required)
+
+
+def ceiling(key, tolerance, check, required=True):
+    """``cell[key]`` may grow at most ``tolerance`` above the baseline's."""
+    return _bounded(key, 1.0 + tolerance, operator.le, check, required)
+
+
+# ----------------------------------------------------------------------
+# Where a gate's rules apply.
+# ----------------------------------------------------------------------
+def _lookup(doc, path):
+    for key in path.split("."):
+        if not isinstance(doc, dict):
+            return None
+        doc = doc.get(key)
+    return doc
+
+
+def _cells(doc, path):
+    return (path(doc) if callable(path) else _lookup(doc, path)) or {}
+
+
+def each(path, *rules, over="baseline", missing=None, when=None):
+    """Apply ``rules`` to every cell of the section at ``path`` (a dotted
+    key, or a function deriving the cells from an artifact).
+
+    ``over="baseline"`` walks the baseline's cells: each must exist in
+    the current artifact -- ``missing`` names the absent one -- and is
+    checked against its twin.  ``over="current"`` walks the current
+    artifact's cells that ``when`` accepts, so it covers cells the
+    baseline does not know.
     """
-    report = RegressionReport()
-    current_families = current.get("families", {})
-    for name, cell in sorted(current_families.items()):
-        if not cell.get("results_identical", False):
-            report.violations.append(
-                f"{name}: suffix engine diverged from the full-forward "
-                "reference"
-            )
-    for name, base_cell in sorted(baseline.get("families", {}).items()):
-        cell = current_families.get(name)
-        if cell is None:
-            report.violations.append(
-                f"family {name!r} missing from current artifact"
-            )
-            continue
-        floor = base_cell["speedup"] * (1.0 - speedup_tolerance)
-        check = (
-            f"{name}: speedup {cell['speedup']:.2f}x vs baseline "
-            f"{base_cell['speedup']:.2f}x (floor {floor:.2f}x)"
-        )
-        if cell["speedup"] < floor:
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
-    pool = current.get("pool", {})
-    if pool and not pool.get("results_identical", True):
+
+    def gate(current, baseline, report):
+        cur_cells, base_cells = _cells(current, path), _cells(baseline, path)
+        if over == "current":
+            for name, cell in sorted(cur_cells.items()):
+                if when is None or when(cell):
+                    for rule in rules:
+                        rule(name, cell, base_cells.get(name) or {}, report)
+            return
+        for name, base_cell in sorted(base_cells.items()):
+            cell = cur_cells.get(name)
+            if cell is None:
+                if missing is not None:
+                    report.violations.append(_MISSING.format(what=missing.format(name=name)))
+                continue
+            for rule in rules:
+                rule(name, cell, base_cell, report)
+
+    return gate
+
+
+def at(path, *rules, missing=None):
+    """Apply ``rules`` to the single section at ``path``.  With
+    ``missing`` the section is optional: when the current artifact lacks
+    it, that is a violation only if the baseline has it, and its rules
+    are skipped.  Without, an absent section is checked as ``{}``."""
+
+    def gate(current, baseline, report):
+        cell, base_cell = _lookup(current, path), _lookup(baseline, path)
+        if cell is None and missing is not None:
+            if base_cell is not None:
+                report.violations.append(_MISSING.format(what=missing))
+            return
+        for rule in rules:
+            rule(path, cell or {}, base_cell or {}, report)
+
+    return gate
+
+
+# ----------------------------------------------------------------------
+# One-off predicates.
+# ----------------------------------------------------------------------
+def _scenario_ran(name, payload, base_cell, report):
+    if isinstance(payload, dict) and "error" in payload:
         report.violations.append(
-            "persistent worker pool changed matrix results"
+            f"scenario {name!r} failed: {str(payload['error']).splitlines()[-1]}"
         )
-    return report
 
 
-def compare_serving(
-    current: dict,
-    baseline: dict,
-    throughput_tolerance: float = 0.25,
-) -> RegressionReport:
-    """Regression gate for the serving benchmark artifact.
+def _protected_cells(artifact):
+    return {name: {"final_accuracy": v} for name, v in protected_accuracies(artifact).items()}
 
-    Three properties:
 
-    * **SLA-stat equivalence** (no tolerance): every cell's
-      deterministic SLA fingerprint -- request/issued/blocked tallies
-      and latency percentiles, all *simulated* quantities that transfer
-      across runner classes -- must equal the committed baseline
-      exactly; a drift means the serving path's behaviour changed.
-    * **Channel scaling**: each defense's 1-to-max-channel aggregate
-      requests/sec ratio must not shrink more than
-      ``throughput_tolerance`` versus the baseline (ratios of simulated
-      throughput, so they transfer too).
-    * **Protection intact** (no tolerance): every locker cell's victim
-      flip-event count equals the committed baseline's -- zero for any
-      cell the baseline does not know.  (The count is deterministic;
-      at high channel counts a pinned nonzero count records a known
-      unlock-SWAP-failure exposure event, not a regression.)  The
-      model-victim probe's accuracy must be unchanged under the
-      co-located attack.
-    """
-    report = RegressionReport()
-    current_cells = current.get("cells", {})
-    for name, base_cell in sorted(baseline.get("cells", {}).items()):
-        cell = current_cells.get(name)
-        if cell is None:
-            report.violations.append(f"cell {name!r} missing from current artifact")
-            continue
-        base_sla = base_cell.get("sla_fingerprint")
-        if base_sla is not None:
-            check = f"{name}: SLA fingerprint matches baseline"
-            if cell.get("sla_fingerprint") != base_sla:
-                report.violations.append(
-                    f"{name}: SLA fingerprint diverged from baseline "
-                    f"({cell.get('sla_fingerprint')} != {base_sla})"
-                )
-            else:
-                report.checks.append(check)
-    for defense, base_scale in sorted(baseline.get("scaling", {}).items()):
-        scale = current.get("scaling", {}).get(defense)
-        if scale is None:
-            report.violations.append(
-                f"scaling entry {defense!r} missing from current artifact"
-            )
-            continue
-        floor = base_scale["ratio"] * (1.0 - throughput_tolerance)
-        check = (
-            f"{defense}: channel-scaling ratio {scale['ratio']:.2f}x vs "
-            f"baseline {base_scale['ratio']:.2f}x (floor {floor:.2f}x)"
-        )
-        if scale["ratio"] < floor:
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
-    for name, cell in sorted(current_cells.items()):
-        if not cell.get("protected"):
-            continue
-        flips = cell.get("victim_flip_events", 0)
-        base_flips = (
-            baseline.get("cells", {}).get(name, {}).get("victim_flip_events", 0)
-        )
-        check = (
-            f"{name}: protected victim flip events {flips} "
-            f"(baseline {base_flips})"
-        )
-        if flips != base_flips:
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
-    victim = current.get("victim")
-    if victim is None:
-        # The probe may only be absent when the baseline never had it;
-        # a silent drop of a gated section is itself a regression.
-        if baseline.get("victim") is not None:
-            report.violations.append(
-                "model-victim probe missing from current artifact"
-            )
-    elif victim.get("skipped"):
+def _victim_probe(name, victim, base_cell, report):
+    if victim.get("skipped"):
         # Recorded with --skip-model-victim: explicit, so not a drop.
         report.checks.append("model-victim probe explicitly skipped")
-    else:
-        check = (
-            f"model victim accuracy {victim.get('post_attack_accuracy'):.2f}% "
-            f"vs clean {victim.get('clean_accuracy'):.2f}% under attack"
-        )
-        if not victim.get("accuracy_unchanged"):
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
-    return report
+        return
+    post, clean = victim.get("post_attack_accuracy"), victim.get("clean_accuracy")
+    if post is None or clean is None:
+        key = "post_attack_accuracy" if post is None else "clean_accuracy"
+        report.violations.append(_MALFORMED.format(name=name, side="current", key=key))
+        return
+    report.record(
+        bool(victim.get("accuracy_unchanged")),
+        f"model victim accuracy {post:.2f}% vs clean {clean:.2f}% under attack",
+    )
 
 
-def compare_serving_live(
-    current: dict,
-    baseline: dict,
-) -> RegressionReport:
-    """Regression gate for the live-frontend serving artifact.
-
-    Everything compared is a *simulated* quantity (deterministic
-    replays of recorded traces), so the gate is exact -- no tolerances:
-
-    * **Replay equivalence**: every recorded replay cell must report
-      the infinite-speedup replay bit-identical to the closed-loop run
-      of the same config (the replay-equivalence contract,
-      ``docs/SERVING.md``).
-    * **Overload determinism**: each overload cell's SLA fingerprint
-      and shed count must equal the committed baseline's exactly.
-    * **Admission effectiveness**: every admitted overload cell that
-      records ``holds_p99`` must hold its sojourn target, and no
-      admitted cell's sojourn p99 may exceed the unadmitted (open)
-      cell's -- shedding must never make the tail *worse*.
-    * **Protection intact**: the co-located cell's victim flip events
-      must equal the baseline's (zero) while admission sheds load.
-    * **Conservation**: the wall-clock-paced live run must report
-      ``offered == served + shed`` (wall seconds themselves are not
-      compared; they do not transfer across runner classes).
-    """
-    report = RegressionReport()
-
-    current_replay = current.get("replay", {}).get("cells", {})
-    for name, cell in sorted(current_replay.items()):
-        check = f"replay {name}: bit-identical to the closed loop"
-        if cell.get("identical"):
-            report.checks.append(check)
-        else:
-            report.violations.append(
-                f"replay {name}: diverged from the closed loop"
-            )
-    for name in sorted(baseline.get("replay", {}).get("cells", {})):
-        if name not in current_replay:
-            report.violations.append(
-                f"replay cell {name!r} missing from current artifact"
-            )
-
-    current_overload = current.get("overload", {}).get("cells", {})
-    for name, base_cell in sorted(
-        baseline.get("overload", {}).get("cells", {}).items()
-    ):
-        cell = current_overload.get(name)
-        if cell is None:
-            report.violations.append(
-                f"overload cell {name!r} missing from current artifact"
-            )
-            continue
-        for key in ("sla_fingerprint", "shed"):
-            if key not in base_cell:
-                continue
-            check = f"overload {name}: {key} matches baseline"
-            if cell.get(key) != base_cell[key]:
-                report.violations.append(
-                    f"overload {name}: {key} diverged from baseline "
-                    f"({cell.get(key)} != {base_cell[key]})"
-                )
-            else:
-                report.checks.append(check)
-    open_cell = current_overload.get("open", {})
-    open_p99 = open_cell.get("sojourn_p99_ns")
-    for name, cell in sorted(current_overload.items()):
-        if "holds_p99" in cell:
-            check = (
-                f"overload {name}: sojourn p99 "
-                f"{cell.get('sojourn_p99_ns', float('nan')):.0f}ns holds "
-                f"target {cell.get('p99_target_ns', float('nan')):.0f}ns"
-            )
-            if cell["holds_p99"]:
-                report.checks.append(check)
-            else:
-                report.violations.append(check)
-        if name == "open" or open_p99 is None:
-            continue
+def _admitted_within_open(name, cells, base_cells, report):
+    open_p99 = (cells.get("open") or {}).get("sojourn_p99_ns")
+    if open_p99 is None:
+        return
+    for cell_name, cell in sorted(cells.items()):
         p99 = cell.get("sojourn_p99_ns")
-        if p99 is not None:
-            check = (
-                f"overload {name}: admitted sojourn p99 {p99:.0f}ns <= "
-                f"open {open_p99:.0f}ns"
+        if cell_name != "open" and p99 is not None:
+            report.record(
+                p99 <= open_p99,
+                f"overload {cell_name}: admitted sojourn p99 {p99:.0f}ns <= "
+                f"open {open_p99:.0f}ns",
             )
-            if p99 <= open_p99:
-                report.checks.append(check)
-            else:
-                report.violations.append(check)
-
-    colocated = current.get("colocated")
-    base_colocated = baseline.get("colocated")
-    if colocated is None:
-        if base_colocated is not None:
-            report.violations.append(
-                "co-located cell missing from current artifact"
-            )
-    else:
-        base_flips = (base_colocated or {}).get("victim_flip_events", 0)
-        flips = colocated.get("victim_flip_events", 0)
-        check = (
-            f"co-located: victim flip events {flips} "
-            f"(baseline {base_flips}) with {colocated.get('shed', 0)} "
-            "ops shed"
-        )
-        if flips != base_flips:
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
-
-    live = current.get("live")
-    if live is None:
-        if baseline.get("live") is not None:
-            report.violations.append(
-                "live pacing section missing from current artifact"
-            )
-    else:
-        check = (
-            f"live: conservation offered={live.get('offered')} == "
-            f"served={live.get('served')} + shed={live.get('shed')}"
-        )
-        if live.get("conserved"):
-            report.checks.append(check)
-        else:
-            report.violations.append(check)
-    return report
 
 
-def compare_defended_hammer(
-    current: dict,
-    baseline: dict,
-    speedup_tolerance: float = 0.25,
-) -> RegressionReport:
-    """Regression gate for the defended-hammer microbenchmark artifact.
-
-    Mirrors :func:`compare_attack_search`: the bulk engine must still
-    match the scalar reference bit-for-bit in every defense cell (a
-    correctness property, no tolerance), and each cell's *speedup
-    ratio* -- which transfers across runner classes, unlike wall-clock
-    -- must not have shrunk more than ``speedup_tolerance`` versus the
-    committed baseline.
-    """
-    report = RegressionReport()
-    current_defenses = current.get("defenses", {})
-    for name, cell in sorted(current_defenses.items()):
-        if not cell.get("results_identical", False):
-            report.violations.append(
-                f"{name}: bulk engine diverged from the scalar reference"
-            )
-    for name, base_cell in sorted(baseline.get("defenses", {}).items()):
-        cell = current_defenses.get(name)
-        if cell is None:
-            report.violations.append(
-                f"defense {name!r} missing from current artifact"
-            )
-            continue
-        floor = base_cell["speedup"] * (1.0 - speedup_tolerance)
-        check = (
-            f"{name}: speedup {cell['speedup']:.2f}x vs baseline "
-            f"{base_cell['speedup']:.2f}x (floor {floor:.2f}x)"
-        )
-        if cell["speedup"] < floor:
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
-    return report
+def _fault_contained(name, fault, base_cell, report):
+    report.record(
+        bool(fault.get("conserved")) and not fault.get("victim_flip_events"),
+        f"chaos: channel fault conserved offered={fault.get('offered_ops')} == "
+        f"served={fault.get('served_ops')} + shed={fault.get('shed_ops')} "
+        f"with {fault.get('victim_flip_events')} victim flip(s)",
+    )
 
 
-def compare_runtable(
-    current: dict,
-    baseline: dict,
-    overhead_tolerance: float = 0.25,
-) -> RegressionReport:
-    """Regression gate for the run-table orchestration artifact.
+def _recovered_within_budget(name, chaos, base_cell, report):
+    budget = chaos.get("accuracy_budget_pct", 0.5)
+    delta = chaos.get("accuracy_delta_pct")
+    report.record(
+        delta is not None and delta <= budget,
+        f"chaos: post-recovery accuracy within {budget}pp of clean (delta {delta}pp)",
+    )
 
-    The fleet properties the orchestration layer exists to provide are
-    all deterministic, so most of the gate is exact:
 
-    * **Checkpoint transparency**: the checkpointed table's results
-      must be bit-identical to a plain ``run_matrix`` sweep of the
-      same cells (``results_identical``) -- journalling must never
-      change what is computed.
-    * **Crash recovery**: the subprocess SIGKILLed mid-sweep and
-      resumed with ``--resume`` must emit a results section
-      bit-identical to the uninterrupted run (``resume_identical``),
-      and must actually have resumed from a non-empty journal.
-    * **Fault containment**: the chaos table must quarantine exactly
-      its always-crashing cells (count pinned to the baseline's),
-      recover its crash-once cells, and its channel-fault cell must
-      conserve ``offered == served + shed`` with zero victim flips
-      under DRAM-Locker.
-    * **Checkpoint overhead**: the journalled run's wall-clock
-      overhead *ratio* over the plain sweep -- which transfers across
-      runner classes, unlike wall seconds -- must not exceed the
-      baseline's by more than ``overhead_tolerance``.
-    """
-    report = RegressionReport()
+def _latency_recorded(name, chaos, base_cell, report):
+    latencies = chaos.get("detection_latency_ns", [])
+    report.record(
+        bool(latencies) and None not in latencies,
+        f"chaos: detection latency recorded for {len(latencies)} injection(s)",
+        "chaos: detection latency missing for at least one injection",
+    )
 
-    checkpoint = current.get("checkpoint", {})
-    if checkpoint.get("results_identical"):
-        report.checks.append(
-            "checkpoint: journalled results identical to plain run_matrix"
-        )
-    else:
-        report.violations.append(
-            "checkpoint: journalled results diverged from plain run_matrix"
-        )
 
-    recovery = current.get("recovery", {})
-    if recovery.get("resume_identical"):
-        report.checks.append(
-            f"recovery: SIGKILL at {recovery.get('journal_lines_at_kill')} "
-            "journal line(s) + --resume is bit-identical"
-        )
-    else:
-        report.violations.append(
-            "recovery: resumed artifact diverged from uninterrupted run"
-        )
-    if not recovery.get("journal_lines_at_kill", 0):
-        report.violations.append(
+def _latency_within_ceiling(name, chaos, base_chaos, report):
+    latencies = chaos.get("detection_latency_ns")
+    base_latencies = base_chaos.get("detection_latency_ns")
+    if not latencies or not base_latencies or None in latencies + base_latencies:
+        return
+    base_worst, worst = max(base_latencies), max(latencies)
+    bound = base_worst * (1.0 + LATENCY_TOLERANCE)
+    # An all-zero baseline (detected at the injection-slice probe) pins
+    # the current run to zero as well.
+    report.record(
+        worst <= bound or worst <= base_worst,
+        f"chaos: worst detection latency {worst:.0f}ns vs baseline "
+        f"{base_worst:.0f}ns (ceiling {bound:.0f}ns)",
+    )
+
+
+def _disabled_within_budget(name, cell, base_cell, report):
+    pct = cell.get("disabled_pct")
+    report.record(
+        pct is not None and pct < DISABLED_BUDGET_PCT,
+        f"{name}: disabled-path overhead {pct if pct is None else round(pct, 4)}% "
+        f"(budget {DISABLED_BUDGET_PCT}%)",
+    )
+
+
+_SLA_MATCHES = "{name}: SLA fingerprint matches baseline"
+_SLA_DIVERGED = "{name}: SLA fingerprint diverged from baseline ({cur} != {base})"
+_SPEEDUP = "{name}: speedup {cur:.2f}x vs baseline {base:.2f}x (floor {bound:.2f}x)"
+_NAN = float("nan")
+
+
+GATES = {
+    # Scenario-harness matrices: wall-clock runtime may not grow, and no
+    # *protected* accuracy -- the quantity DRAM-Locker exists to
+    # preserve -- may shrink, beyond tolerance.  The attack is supposed
+    # to wreck the open victim, so unprotected accuracy is not gated.
+    HARNESS_SCHEMA: (
+        each("results", _scenario_ran, over="current"),
+        at("timing", ceiling(
+            "total_s", RUNTIME_TOLERANCE,
+            "runtime {cur:.2f}s vs baseline {base:.2f}s (limit {bound:.2f}s)", required=False,
+        )),
+        each(_protected_cells, floor(
+            "final_accuracy", ACCURACY_TOLERANCE,
+            "{name}: protected accuracy {cur:.2f}% vs baseline {base:.2f}% (floor {bound:.2f}%)",
+        ), missing="protected accuracy for {name!r}"),
+    ),
+    # Attack-search microbenchmark: the suffix engine matches the
+    # full-forward reference bit-for-bit in every cell (correctness, no
+    # tolerance), and each cell's *speedup ratio* -- which, unlike
+    # wall-clock seconds, transfers across runner classes -- has not
+    # shrunk beyond tolerance.
+    ATTACK_SEARCH_SCHEMA: (
+        each("families", flag(
+            "results_identical", None,
+            "{name}: suffix engine diverged from the full-forward reference",
+        ), over="current"),
+        each("families", floor("speedup", SPEEDUP_TOLERANCE, _SPEEDUP), missing="family {name!r}"),
+        at("pool", flag(
+            "results_identical", None, "persistent worker pool changed matrix results",
+            default=True,
+        )),
+    ),
+    # Defended-hammer microbenchmark: as attack-search, with the bulk
+    # engine held bit-for-bit to the scalar reference per defense cell.
+    DEFENDED_HAMMER_SCHEMA: (
+        each("defenses", flag(
+            "results_identical", None, "{name}: bulk engine diverged from the scalar reference",
+        ), over="current"),
+        each("defenses", floor("speedup", SPEEDUP_TOLERANCE, _SPEEDUP), missing="defense {name!r}"),
+    ),
+    # Serving: every cell's SLA fingerprint -- request tallies and
+    # latency percentiles, simulated quantities that transfer across
+    # runner classes -- equals the baseline's exactly (a drift means the
+    # serving path's behaviour changed); each defense's 1-to-max-channel
+    # requests/sec ratio has not shrunk beyond tolerance; every locker
+    # cell's victim flip count equals the baseline's -- zero for a cell
+    # the baseline does not know (a pinned nonzero count at high channel
+    # counts records a known unlock-SWAP-failure exposure, not a
+    # regression); and the model-victim probe's accuracy is unchanged
+    # under the co-located attack.  The probe may be absent only when
+    # the baseline never had it: a silent drop of a gated section is
+    # itself a regression.
+    SERVING_SCHEMA: (
+        each("cells", equal("sla_fingerprint", _SLA_MATCHES, _SLA_DIVERGED),
+             missing="cell {name!r}"),
+        each("scaling", floor(
+            "ratio", SCALING_TOLERANCE,
+            "{name}: channel-scaling ratio {cur:.2f}x vs baseline {base:.2f}x (floor {bound:.2f}x)",
+        ), missing="scaling entry {name!r}"),
+        each("cells", equal(
+            "victim_flip_events",
+            "{name}: protected victim flip events {cur} (baseline {base})", default=0,
+        ), over="current", when=lambda cell: cell.get("protected")),
+        at("victim", _victim_probe, missing="model-victim probe"),
+    ),
+    # Live serving: everything compared is a simulated quantity
+    # (deterministic replays of recorded traces), so the gate is exact.
+    # Every replay cell is bit-identical to the closed loop of the same
+    # config (the replay-equivalence contract, docs/SERVING.md); each
+    # overload cell's SLA fingerprint and shed count equal the
+    # baseline's; every admitted cell that records ``holds_p99`` holds
+    # its sojourn target, and none has a worse sojourn p99 than the
+    # unadmitted (open) cell -- shedding must never make the tail worse;
+    # the co-located cell's victim flips equal the baseline's while
+    # admission sheds load; and the wall-clock-paced live run conserves
+    # ``offered == served + shed`` (its wall seconds do not transfer
+    # across runner classes, so they are not compared).
+    SERVING_LIVE_SCHEMA: (
+        each("replay.cells", flag(
+            "identical",
+            "replay {name}: bit-identical to the closed loop",
+            "replay {name}: diverged from the closed loop",
+        ), over="current"),
+        each("replay.cells", missing="replay cell {name!r}"),
+        each("overload.cells", *(
+            equal(key, "overload {name}: {key} matches baseline",
+                  "overload {name}: {key} diverged from baseline ({cur} != {base})")
+            for key in ("sla_fingerprint", "shed")
+        ), missing="overload cell {name!r}"),
+        each("overload.cells", flag(
+            "holds_p99",
+            "overload {name}: sojourn p99 {sojourn_p99_ns:.0f}ns holds "
+            "target {p99_target_ns:.0f}ns",
+            fill={"sojourn_p99_ns": _NAN, "p99_target_ns": _NAN},
+        ), over="current", when=lambda cell: "holds_p99" in cell),
+        at("overload.cells", _admitted_within_open),
+        at("colocated", equal(
+            "victim_flip_events",
+            "co-located: victim flip events {cur} (baseline {base}) with {shed} ops shed",
+            default=0, fill={"shed": 0},
+        ), missing="co-located cell"),
+        at("live", flag(
+            "conserved", "live: conservation offered={offered} == served={served} + shed={shed}",
+        ), missing="live pacing section"),
+    ),
+    # Run table: the fleet properties are deterministic, so most of the
+    # gate is exact.  The checkpointed table's results are bit-identical
+    # to a plain run_matrix sweep (journalling never changes what is
+    # computed); the run SIGKILLed mid-sweep and resumed emits results
+    # bit-identical to the uninterrupted run, and really resumed from a
+    # non-empty journal; the chaos table quarantines exactly the
+    # baseline's count of always-crashing cells and recovers its
+    # crash-once cells, and its channel-fault cell conserves
+    # ``offered == served + shed`` with zero victim flips under
+    # DRAM-Locker.  The journalled run's wall-clock overhead *ratio*
+    # over the plain sweep -- which transfers across runner classes --
+    # may not grow beyond tolerance.
+    RUNTABLE_BENCH_SCHEMA: (
+        at("checkpoint", flag(
+            "results_identical",
+            "checkpoint: journalled results identical to plain run_matrix",
+            "checkpoint: journalled results diverged from plain run_matrix",
+        )),
+        at("recovery", flag(
+            "resume_identical",
+            "recovery: SIGKILL at {journal_lines_at_kill} journal line(s) "
+            "+ --resume is bit-identical",
+            "recovery: resumed artifact diverged from uninterrupted run",
+        ), flag(
+            "journal_lines_at_kill", None,
             "recovery: victim run was killed before journalling any cell "
-            "(resume path not exercised)"
-        )
+            "(resume path not exercised)",
+        )),
+        at("chaos", *(
+            equal(key, "chaos: {key} {cur} == baseline {base}")
+            for key in ("quarantined", "errors", "recovered")
+        )),
+        at("chaos.channel_fault", _fault_contained, missing="chaos: channel-fault cell"),
+        at("checkpoint", ceiling(
+            "overhead_ratio", OVERHEAD_TOLERANCE,
+            "checkpoint: overhead {cur:.2f}x vs baseline {base:.2f}x (ceiling {bound:.2f}x)",
+            required=False,
+        )),
+    ),
+    # Defense bake-off: everything behavioural is deterministic
+    # simulation, so most of the gate is exact.  The RADAR chaos cell
+    # detects every injected corruption, records each injection's
+    # detection latency, and recovers to within its committed
+    # ``accuracy_budget_pct`` of clean; its worst detection latency may
+    # not grow beyond tolerance.  Each DRAM-Locker serving cell's victim
+    # flip count equals the baseline's -- zero for cells the baseline
+    # does not know -- and serving-cell SLA fingerprints equal the
+    # baseline's.  Per defense, the *worst* defended accuracy across the
+    # attack matrix (the protection frontier) may not shrink beyond
+    # tolerance.
+    BAKEOFF_SCHEMA: (
+        at("chaos", flag(
+            "all_injections_detected",
+            "chaos: {injections_detected}/{injected_corruptions} injected corruption(s) detected",
+        ), _recovered_within_budget, _latency_recorded, _latency_within_ceiling,
+            missing="chaos cell"),
+        each("serving_cells", equal("sla_fingerprint", _SLA_MATCHES, _SLA_DIVERGED),
+             missing="serving cell {name!r}"),
+        each("serving_cells", equal(
+            "victim_flip_events",
+            "{name}: locker victim flip events {cur} (baseline {base})", default=0,
+        ), over="current", when=lambda cell: cell.get("defense") == "DRAM-Locker"),
+        each("frontier", floor(
+            "worst_defended_accuracy", ACCURACY_TOLERANCE,
+            "{name}: worst defended accuracy {cur:.2f}% vs baseline {base:.2f}% "
+            "(floor {bound:.2f}%)",
+            required=False,
+        ), missing="frontier point {name!r}"),
+    ),
+    # Telemetry overhead: observational inertness -- every cell run with
+    # telemetry enabled produces a payload bit-identical to the disabled
+    # run, and the deterministic event counts (metric ``updates``,
+    # ``audit_events``) equal the baseline's; a drift means
+    # instrumentation leaked into simulation state.  Zero overhead when
+    # disabled -- each cell's ``disabled_pct`` (the measured per-guard
+    # check cost times the guard sites hit, as a share of the cell's
+    # telemetry-off runtime; built from a guard microbenchmark because
+    # differencing two noisy wall-clock runs cannot resolve it) stays
+    # under an absolute budget.  The enabled path may cost real time:
+    # only its on/off ``enabled_ratio`` is bounded against the baseline's.
+    OBS_SCHEMA: (
+        each("cells", flag(
+            "payload_identical",
+            "{name}: enabled payload bit-identical to disabled run",
+            "{name}: telemetry changed the simulation payload",
+        ), _disabled_within_budget, over="current"),
+        each("cells", *(
+            equal(key, "{name}: {key} {cur} == baseline {base}",
+                  "{name}: {key} diverged from baseline ({cur} != {base})")
+            for key in ("updates", "audit_events")
+        ), ceiling(
+            "enabled_ratio", ENABLED_TOLERANCE,
+            "{name}: enabled-path ratio {cur:.3f}x vs baseline {base:.3f}x (ceiling {bound:.3f}x)",
+            required=False,
+        ), missing="cell {name!r}"),
+    ),
+}
 
-    chaos = current.get("chaos", {})
-    base_chaos = baseline.get("chaos", {})
-    for key in ("quarantined", "errors", "recovered"):
-        if key not in base_chaos:
-            continue
-        check = (
-            f"chaos: {key} {chaos.get(key)} == baseline {base_chaos[key]}"
-        )
-        if chaos.get(key) != base_chaos[key]:
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
-    fault = chaos.get("channel_fault")
-    if fault is None:
-        if base_chaos.get("channel_fault") is not None:
-            report.violations.append(
-                "chaos: channel-fault cell missing from current artifact"
-            )
-    else:
-        check = (
-            f"chaos: channel fault conserved offered="
-            f"{fault.get('offered_ops')} == served={fault.get('served_ops')}"
-            f" + shed={fault.get('shed_ops')} with "
-            f"{fault.get('victim_flip_events')} victim flip(s)"
-        )
-        if fault.get("conserved") and not fault.get("victim_flip_events"):
-            report.checks.append(check)
-        else:
-            report.violations.append(check)
 
-    overhead = checkpoint.get("overhead_ratio")
-    base_overhead = baseline.get("checkpoint", {}).get("overhead_ratio")
-    if overhead is not None and base_overhead is not None:
-        ceiling = base_overhead * (1.0 + overhead_tolerance)
-        check = (
-            f"checkpoint: overhead {overhead:.2f}x vs baseline "
-            f"{base_overhead:.2f}x (ceiling {ceiling:.2f}x)"
-        )
-        if overhead > ceiling:
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
-    return report
+def check(current: dict, baseline: dict) -> RegressionReport:
+    """Gate ``current`` against ``baseline`` with their schema's rules.
 
-
-def compare_bakeoff(
-    current: dict,
-    baseline: dict,
-    accuracy_tolerance: float = 0.10,
-    latency_tolerance: float = 0.25,
-) -> RegressionReport:
-    """Regression gate for the defense bake-off artifact.
-
-    Everything behavioural in the bake-off is deterministic simulation,
-    so most of the gate is exact:
-
-    * **Chaos-cell contract** (no tolerance, self-contained): every
-      injected corruption detected (``all_injections_detected``), every
-      injection's detection latency recorded, and post-recovery
-      accuracy within the cell's committed ``accuracy_budget_pct`` of
-      the clean baseline.
-    * **Prevention intact** (no tolerance): each DRAM-Locker serving
-      cell's victim flip-event count equals the baseline's -- zero for
-      cells the baseline does not know.
-    * **SLA-stat equivalence** (no tolerance): serving-cell SLA
-      fingerprints equal the committed baseline's exactly.
-    * **Protection frontier**: per defense, the *worst* defended
-      accuracy across the attack matrix must not shrink more than
-      ``accuracy_tolerance`` (fractional) versus the baseline, and the
-      chaos cell's detection latency must not grow more than
-      ``latency_tolerance``.
+    Raises :class:`ValueError` when the schema has no gate or the two
+    artifacts' schemas differ: falling back to some other gate would
+    silently check nothing.  Only the gated sections are read, so the
+    host-provenance ``meta`` block is ignored.
     """
+    schema, base_schema = current.get("schema"), baseline.get("schema")
+    if schema not in GATES or base_schema != schema:
+        raise ValueError(
+            f"cannot gate current schema {schema!r} against baseline "
+            f"schema {base_schema!r}: need one of {sorted(GATES)} on both"
+        )
     report = RegressionReport()
-
-    chaos = current.get("chaos")
-    base_chaos = baseline.get("chaos")
-    if chaos is None:
-        if base_chaos is not None:
-            report.violations.append(
-                "chaos cell missing from current artifact"
-            )
-    else:
-        check = (
-            f"chaos: {chaos.get('injections_detected')}/"
-            f"{chaos.get('injected_corruptions')} injected corruption(s) "
-            "detected"
-        )
-        if chaos.get("all_injections_detected"):
-            report.checks.append(check)
-        else:
-            report.violations.append(check)
-        budget = chaos.get("accuracy_budget_pct", 0.5)
-        delta = chaos.get("accuracy_delta_pct")
-        check = (
-            f"chaos: post-recovery accuracy within {budget}pp of clean "
-            f"(delta {delta}pp)"
-        )
-        if delta is None or delta > budget:
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
-        latencies = chaos.get("detection_latency_ns", [])
-        check = (
-            f"chaos: detection latency recorded for "
-            f"{len(latencies)} injection(s)"
-        )
-        if not latencies or any(value is None for value in latencies):
-            report.violations.append(
-                "chaos: detection latency missing for at least one "
-                "injection"
-            )
-        else:
-            report.checks.append(check)
-        base_latencies = (base_chaos or {}).get("detection_latency_ns")
-        measurable = (
-            latencies
-            and base_latencies
-            and all(value is not None for value in latencies)
-            and all(value is not None for value in base_latencies)
-        )
-        if measurable:
-            ceiling = max(base_latencies) * (1.0 + latency_tolerance)
-            worst = max(latencies)
-            check = (
-                f"chaos: worst detection latency {worst:.0f}ns vs "
-                f"baseline {max(base_latencies):.0f}ns "
-                f"(ceiling {ceiling:.0f}ns)"
-            )
-            # An all-zero baseline (detected at the injection-slice
-            # probe) pins the current run to zero as well.
-            if worst > ceiling and worst > max(base_latencies):
-                report.violations.append(check)
-            else:
-                report.checks.append(check)
-
-    current_serving = current.get("serving_cells", {})
-    for name, base_cell in sorted(baseline.get("serving_cells", {}).items()):
-        cell = current_serving.get(name)
-        if cell is None:
-            report.violations.append(
-                f"serving cell {name!r} missing from current artifact"
-            )
-            continue
-        base_sla = base_cell.get("sla_fingerprint")
-        if base_sla is not None:
-            check = f"{name}: SLA fingerprint matches baseline"
-            if cell.get("sla_fingerprint") != base_sla:
-                report.violations.append(
-                    f"{name}: SLA fingerprint diverged from baseline "
-                    f"({cell.get('sla_fingerprint')} != {base_sla})"
-                )
-            else:
-                report.checks.append(check)
-    for name, cell in sorted(current_serving.items()):
-        if cell.get("defense") != "DRAM-Locker":
-            continue
-        flips = cell.get("victim_flip_events", 0)
-        base_flips = (
-            baseline.get("serving_cells", {})
-            .get(name, {})
-            .get("victim_flip_events", 0)
-        )
-        check = (
-            f"{name}: locker victim flip events {flips} "
-            f"(baseline {base_flips})"
-        )
-        if flips != base_flips:
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
-
-    current_frontier = current.get("frontier", {})
-    for defense, base_point in sorted(baseline.get("frontier", {}).items()):
-        point = current_frontier.get(defense)
-        if point is None:
-            report.violations.append(
-                f"frontier point {defense!r} missing from current artifact"
-            )
-            continue
-        base_worst = base_point.get("worst_defended_accuracy")
-        worst = point.get("worst_defended_accuracy")
-        if base_worst is None or worst is None:
-            continue
-        floor = base_worst * (1.0 - accuracy_tolerance)
-        check = (
-            f"{defense}: worst defended accuracy {worst:.2f}% vs "
-            f"baseline {base_worst:.2f}% (floor {floor:.2f}%)"
-        )
-        if worst < floor:
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
-    return report
-
-
-def compare_obs(
-    current: dict,
-    baseline: dict,
-    disabled_budget_pct: float = 1.0,
-    enabled_tolerance: float = 0.50,
-) -> RegressionReport:
-    """Regression gate for the telemetry-overhead artifact.
-
-    The telemetry core's contract has two halves, and the gate checks
-    both:
-
-    * **Observational inertness** (no tolerance, self-contained):
-      every cell run with telemetry enabled must produce a payload
-      bit-identical to the disabled run (``payload_identical``), and
-      the deterministic event counts -- metric ``updates`` and
-      ``audit_events`` -- must equal the committed baseline's exactly.
-      A drift means instrumentation leaked into simulation state.
-    * **Zero overhead when disabled** (absolute budget, self-contained):
-      each cell's ``disabled_pct`` -- the measured per-guard check cost
-      times the number of guard sites hit, as a percentage of the
-      cell's telemetry-off runtime -- must stay under
-      ``disabled_budget_pct``.  The estimate is built from a guard
-      microbenchmark rather than differencing two noisy wall-clock
-      runs, so it is stable enough to gate on in CI.
-
-    The *enabled* path is allowed to cost real time; its ``enabled_ratio``
-    (on/off wall-clock) only has to stay within ``enabled_tolerance``
-    of the committed baseline's ratio -- ratios transfer across runner
-    classes, wall seconds do not.
-    """
-    report = RegressionReport()
-    current_cells = current.get("cells", {})
-    for name, cell in sorted(current_cells.items()):
-        check = f"{name}: enabled payload bit-identical to disabled run"
-        if cell.get("payload_identical"):
-            report.checks.append(check)
-        else:
-            report.violations.append(
-                f"{name}: telemetry changed the simulation payload"
-            )
-        pct = cell.get("disabled_pct")
-        check = (
-            f"{name}: disabled-path overhead {pct if pct is None else round(pct, 4)}% "
-            f"(budget {disabled_budget_pct}%)"
-        )
-        if pct is None or pct >= disabled_budget_pct:
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
-    for name, base_cell in sorted(baseline.get("cells", {}).items()):
-        cell = current_cells.get(name)
-        if cell is None:
-            report.violations.append(f"cell {name!r} missing from current artifact")
-            continue
-        for key in ("updates", "audit_events"):
-            if key not in base_cell:
-                continue
-            check = (
-                f"{name}: {key} {cell.get(key)} == baseline {base_cell[key]}"
-            )
-            if cell.get(key) != base_cell[key]:
-                report.violations.append(
-                    f"{name}: {key} diverged from baseline "
-                    f"({cell.get(key)} != {base_cell[key]})"
-                )
-            else:
-                report.checks.append(check)
-        base_ratio = base_cell.get("enabled_ratio")
-        ratio = cell.get("enabled_ratio")
-        if base_ratio is None or ratio is None:
-            continue
-        ceiling = base_ratio * (1.0 + enabled_tolerance)
-        check = (
-            f"{name}: enabled-path ratio {ratio:.3f}x vs baseline "
-            f"{base_ratio:.3f}x (ceiling {ceiling:.3f}x)"
-        )
-        if ratio > ceiling:
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
+    for rule in GATES[schema]:
+        rule(current, baseline, report)
     return report

@@ -13,7 +13,7 @@ Pins the PR's contracts:
 * the ``python -m repro.serve`` CLI exit codes;
 * the unified ``repro.engines`` validator and its uniform error at
   every adoption site;
-* the ``compare_serving_live`` nightly gate.
+* the live-serving nightly gate (``check``).
 """
 
 import dataclasses
@@ -34,7 +34,7 @@ from repro.engines import (
     resolve_engine,
 )
 from repro.eval.harness import serving_live_scenarios
-from repro.eval.regression import compare_serving_live
+from repro.eval.regression import check
 from repro.serve import main as serve_main
 from repro.serving import (
     AdmissionConfig,
@@ -445,50 +445,50 @@ def _live_artifact() -> dict:
 
 class TestServingLiveGate:
     def test_identical_artifacts_pass(self):
-        report = compare_serving_live(_live_artifact(), _live_artifact())
+        report = check(_live_artifact(), _live_artifact())
         assert report.ok and report.checks
 
     def test_replay_divergence_fails(self):
         current = _live_artifact()
         current["replay"]["cells"]["bulk-ch2"]["identical"] = False
-        assert not compare_serving_live(current, _live_artifact()).ok
+        assert not check(current, _live_artifact()).ok
 
     def test_shed_drift_fails(self):
         current = _live_artifact()
         current["overload"]["cells"]["pressure"]["shed"] = 41
-        assert not compare_serving_live(current, _live_artifact()).ok
+        assert not check(current, _live_artifact()).ok
 
     def test_fingerprint_drift_fails(self):
         current = _live_artifact()
         current["overload"]["cells"]["open"]["sla_fingerprint"] = {
             "requests": 99
         }
-        assert not compare_serving_live(current, _live_artifact()).ok
+        assert not check(current, _live_artifact()).ok
 
     def test_broken_target_fails(self):
         current = _live_artifact()
         current["overload"]["cells"]["pressure"]["holds_p99"] = False
-        assert not compare_serving_live(current, _live_artifact()).ok
+        assert not check(current, _live_artifact()).ok
 
     def test_admitted_worse_than_open_fails(self):
         current = _live_artifact()
         current["overload"]["cells"]["pressure"]["sojourn_p99_ns"] = 13000.0
-        assert not compare_serving_live(current, _live_artifact()).ok
+        assert not check(current, _live_artifact()).ok
 
     def test_victim_flip_fails(self):
         current = _live_artifact()
         current["colocated"]["victim_flip_events"] = 2
-        assert not compare_serving_live(current, _live_artifact()).ok
+        assert not check(current, _live_artifact()).ok
 
     def test_conservation_violation_fails(self):
         current = _live_artifact()
         current["live"]["conserved"] = False
-        assert not compare_serving_live(current, _live_artifact()).ok
+        assert not check(current, _live_artifact()).ok
 
     def test_missing_cell_fails(self):
         current = _live_artifact()
         del current["overload"]["cells"]["pressure"]
-        assert not compare_serving_live(current, _live_artifact()).ok
+        assert not check(current, _live_artifact()).ok
 
     def test_canned_set_shape(self):
         scenarios = serving_live_scenarios()
