@@ -21,12 +21,14 @@ to the per-candidate full forwards it replaces:
   result.
 * **Same-layer candidate batching** -- candidates in one layer share
   the suffix ``k+1..end``; their layer-``k`` outputs are stacked along
-  the batch axis and the suffix runs once (one GEMM per conv via
-  :func:`repro.nn.functional.contract`).  Per-sample GEMM results can
-  drift by ulps across batch sizes for some shapes, so the batched
-  path is *verified bitwise once per shape class* against the
-  per-candidate suffixes (the same discipline as ``contract``); shape
-  classes that disagree fall back to per-candidate suffixes forever.
+  the batch axis (one GEMM per conv via
+  :func:`repro.nn.functional.contract`).  Per-sample results can drift
+  by ulps across batch sizes for some shapes, so stacking is *verified
+  bitwise once per suffix layer and class* ``(layer, per-candidate
+  shape, candidate count)`` against per-candidate forwards of that
+  layer (the same discipline as ``contract``).  A layer that disagrees
+  runs per candidate forever; the layers that agree keep running on
+  the stack.
 * **Weight-state digests** -- :meth:`refresh` re-hashes every
   top-level layer's parameters (and BatchNorm buffers) and drops
   cached activations *downstream of the first changed layer only*,
@@ -34,8 +36,19 @@ to the per-candidate full forwards it replaces:
   hooks invalidate precisely.  Probes (accuracy / ASR / objective)
   and the per-iteration objective gradients are memoized on the
   combined digest, so unchanged weight states -- every blocked
-  campaign under DRAM-Locker -- never re-run ``predict`` or the
-  gradient pass.
+  campaign under DRAM-Locker -- never re-run a probe or the gradient
+  pass.
+* **Prefix-cached probes** -- accuracy and ASR probes run through one
+  activation cache per ``PREDICT_BATCH``-row chunk of the probe set
+  (256 rows, ``predict``'s batch), so each chunk's logits are exactly
+  the ones ``predict`` computes; the digests invalidate these caches like the others, and
+  after a committed flip in layer ``k`` a probe re-runs layers ``>= k``
+  only.
+* **No backward state from inference forwards** -- probe, candidate
+  and suffix forwards run under
+  :func:`repro.nn.layers._no_backward_state`, so layers keep no patch
+  matrices or normalized activations for a backward that never comes;
+  the gradient pass keeps its state.
 
 ``engine="full"`` routes every operation through the legacy
 flip -> full forward -> revert path with no caching or memoization; it
@@ -55,8 +68,8 @@ import numpy as np
 
 from ..engines import SEARCH_ENGINES as _SEARCH_ENGINES, resolve_engine
 from ..nn.functional import cross_entropy, cross_entropy_grad
-from ..nn.layers import Sequential
-from ..nn.model import PrefixActivationCache, iter_layers
+from ..nn.layers import Sequential, _no_backward_state
+from ..nn.model import PREDICT_BATCH, PrefixActivationCache, iter_layers
 from ..nn.quant import QuantizedModel
 
 __all__ = ["SEARCH_ENGINES", "SearchTerm", "SessionStats", "SearchSession"]
@@ -84,6 +97,7 @@ class SessionStats:
     """Work counters -- what the engine actually saved."""
 
     candidate_evals: int = 0
+    #: Suffix layer forwards run once on a stack of candidates.
     suffix_batches: int = 0
     probe_hits: int = 0
     probe_misses: int = 0
@@ -112,7 +126,7 @@ class SearchSession:
                     break
                 self._top_index[name] = int(head)
         self.engine = engine if supported else "full"
-        self._caches: dict[int, PrefixActivationCache] = {}
+        self._caches: dict[tuple[int, int, int], PrefixActivationCache] = {}
         self._probes: dict[tuple, Any] = {}
         self._grads_memo: tuple | None = None
         self._batch_ok: dict[tuple, bool] = {}
@@ -163,11 +177,19 @@ class SearchSession:
         self.refresh()
         return self._digest
 
-    def _cache_for(self, x: np.ndarray) -> PrefixActivationCache:
-        cache = self._caches.get(id(x))
+    def _cache_for(
+        self, x: np.ndarray, start: int = 0, stop: int | None = None
+    ) -> PrefixActivationCache:
+        """The activation cache of rows ``start:stop`` of ``x`` (all of
+        them by default).  The cache holds ``x``, so its ``id`` cannot
+        be reused while the entry lives."""
+        stop = x.shape[0] if stop is None else min(stop, x.shape[0])
+        key = (id(x), start, stop)
+        cache = self._caches.get(key)
         if cache is None:
-            cache = PrefixActivationCache(self.model.net, x)
-            self._caches[id(x)] = cache
+            rows = x if (start, stop) == (0, x.shape[0]) else x[start:stop]
+            cache = PrefixActivationCache(self.model.net, rows)
+            self._caches[key] = cache
         return cache
 
     # ------------------------------------------------------------------
@@ -259,34 +281,43 @@ class SearchSession:
     def _suffix_logits(
         self, start: int, outs: list[np.ndarray]
     ) -> list[np.ndarray]:
-        """Logits for each perturbed layer output, through one stacked
-        suffix pass when that is verified bit-identical for this shape
-        class, else through per-candidate suffixes."""
+        """Logits for each perturbed layer output.  Each suffix layer
+        runs once on the candidates stacked along the batch axis when
+        that is verified bit-identical for its class -- ``(layer,
+        per-candidate shape, candidate count)`` -- and once per
+        candidate otherwise."""
         net = self.model.net
-        if len(outs) == 1:
+        count, rows = len(outs), outs[0].shape[0]
+        if count == 1:
             return [net.forward_from(outs[0], start)]
-        key = (start, outs[0].shape, len(outs))
-        ok = self._batch_ok.get(key)
-        if ok:
-            self.stats.suffix_batches += 1
-            per_candidate = outs[0].shape[0]
-            logits = net.forward_from(np.concatenate(outs, axis=0), start)
-            return [
-                logits[i * per_candidate : (i + 1) * per_candidate]
-                for i in range(len(outs))
-            ]
-        reference = [net.forward_from(a, start) for a in outs]
-        if ok is None:
-            per_candidate = outs[0].shape[0]
-            logits = net.forward_from(np.concatenate(outs, axis=0), start)
-            batched = [
-                logits[i * per_candidate : (i + 1) * per_candidate]
-                for i in range(len(outs))
-            ]
-            self._batch_ok[key] = all(
-                np.array_equal(b, r) for b, r in zip(batched, reference)
+        # The candidates' activations: per candidate, or one stack.
+        split: list[np.ndarray] | None = outs
+        stacked: np.ndarray | None = None
+        for j in range(start, len(net.layers)):
+            layer = net.layers[j]
+            current = split[0] if stacked is None else stacked
+            key = (j, (rows, *current.shape[1:]), count)
+            ok = self._batch_ok.get(key)
+            if split is None and ok is not True:
+                split = np.split(stacked, count)
+            if ok is False:
+                split, stacked = [layer.forward(a) for a in split], None
+                continue
+            batched = layer.forward(
+                stacked if split is None else np.concatenate(split, axis=0)
             )
-        return reference
+            if ok is None:
+                reference = [layer.forward(a) for a in split]
+                ok = self._batch_ok[key] = all(
+                    np.array_equal(b, r)
+                    for b, r in zip(np.split(batched, count), reference)
+                )
+                if not ok:
+                    split, stacked = reference, None
+                    continue
+            self.stats.suffix_batches += 1
+            split, stacked = None, batched
+        return split if stacked is None else np.split(stacked, count)
 
     def evaluate_flips(
         self, terms: Sequence, candidates: Sequence[Candidate]
@@ -320,18 +351,18 @@ class SearchSession:
             for k, positions in sorted(groups.items()):
                 layer_input = cache.input_of(k)
                 outs = []
-                for position in positions:
-                    name, index, bit = candidates[position]
-                    self._apply_flip(name, index, bit)
-                    try:
-                        outs.append(net.layers[k].forward(layer_input))
-                    finally:
-                        self._apply_flip(name, index, bit)  # revert
-                for position, logits in zip(
-                    positions, self._suffix_logits(k + 1, outs)
-                ):
+                with _no_backward_state():
+                    for position in positions:
+                        name, index, bit = candidates[position]
+                        self._apply_flip(name, index, bit)
+                        try:
+                            outs.append(net.layers[k].forward(layer_input))
+                        finally:
+                            self._apply_flip(name, index, bit)  # revert
+                    logits = self._suffix_logits(k + 1, outs)
+                for position, candidate_logits in zip(positions, logits):
                     per_term[term_pos][position] = cross_entropy(
-                        logits, term.labels
+                        candidate_logits, term.labels
                     )
         return [
             sum(
@@ -359,11 +390,29 @@ class SearchSession:
             self.stats.probe_hits += 1
         return self._probes[memo_key]
 
+    def _predict(self, x: np.ndarray) -> np.ndarray:
+        """``model.predict(x)``, bit for bit.  On the suffix engine each
+        ``predict`` batch of ``x`` has its own activation cache, so after
+        a change in top-level layer ``k`` only layers ``>= k`` re-run."""
+        if self.engine != "suffix":
+            return self.model.predict(x)
+        return np.concatenate(
+            [
+                np.argmax(
+                    self._cache_for(x, start, start + PREDICT_BATCH).logits(),
+                    axis=1,
+                )
+                for start in range(0, x.shape[0], PREDICT_BATCH)
+            ]
+        )
+
     def accuracy(
         self, x: np.ndarray, labels: np.ndarray, key: str = "accuracy"
     ) -> float:
         """Digest-memoized ``model.accuracy`` over a fixed probe set."""
-        return self.probe(key, lambda: self.model.accuracy(x, labels))
+        return self.probe(
+            key, lambda: float(100.0 * (self._predict(x) == labels).mean())
+        )
 
     def success_rate(
         self, x: np.ndarray, target: int, key: str = "asr"
@@ -371,6 +420,5 @@ class SearchSession:
         """Digest-memoized attack success rate: percent of ``x``
         classified as ``target``."""
         return self.probe(
-            key,
-            lambda: float(100.0 * (self.model.predict(x) == target).mean()),
+            key, lambda: float(100.0 * (self._predict(x) == target).mean())
         )

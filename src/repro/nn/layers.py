@@ -2,6 +2,11 @@
 
 Small by design: exactly the layer set ResNet-20 and VGG-11 need, in
 NumPy, with the forward pass caching what the backward pass consumes.
+Forwards that no backward will consume (inference probes, the attack
+search's candidate and suffix passes) run inside
+:func:`_no_backward_state`, where layers keep none of that state: a
+stacked suffix pass would otherwise hold every conv's patch matrix
+alive until the next forward.
 Conv2d and Linear support an optional ``weight_transform`` -- a
 quantizer applied to the weight in the forward pass whose gradient is
 passed straight through (STE), which is how the binary-weight hardening
@@ -10,7 +15,9 @@ baselines of Table II train.
 
 from __future__ import annotations
 
-from typing import Callable
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -30,6 +37,30 @@ __all__ = [
 ]
 
 WeightTransform = Callable[[np.ndarray], np.ndarray]
+
+
+class _BackwardState(threading.local):
+    #: Whether forwards keep what their backward reads.  Per thread, so
+    #: an inference forward on one thread never strips the state of a
+    #: training step on another.
+    retain = True
+
+
+_STATE = _BackwardState()
+
+
+@contextmanager
+def _no_backward_state() -> Iterator[None]:
+    """Forwards inside this block feed no backward: layers drop their
+    patch matrices, normalized activations and masks instead of
+    caching them.  Outputs are unchanged; a ``backward`` after such a
+    forward fails its "forward before backward" assertion."""
+    previous = _STATE.retain
+    _STATE.retain = False
+    try:
+        yield
+    finally:
+        _STATE.retain = previous
 
 
 class Parameter:
@@ -116,7 +147,7 @@ class Conv2d(Layer):
         out = contract("of,nfp->nop", weight, cols)
         if self.bias is not None:
             out += self.bias.value[None, :, None]
-        self._cache = (x.shape, cols)
+        self._cache = (x.shape, cols) if _STATE.retain else None
         return np.ascontiguousarray(
             out.reshape(n, self.out_channels, oh, ow)
         )
@@ -166,7 +197,7 @@ class Linear(Layer):
         return self.weight.value
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._x = x
+        self._x = x if _STATE.retain else None
         out = x @ self.effective_weight().T
         if self.bias is not None:
             out += self.bias.value
@@ -207,11 +238,14 @@ class BatchNorm2d(Layer):
         else:
             mean, var = self.running_mean, self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        self._cache = (x_hat, inv_std, x.shape, training)
-        return self.gamma.value[None, :, None, None] * x_hat + self.beta.value[
-            None, :, None, None
-        ]
+        # (x - mean) * inv_std * gamma + beta: the same float32 ops in
+        # the same order, with two fewer full-size temporaries.
+        x_hat = x - mean[None, :, None, None]
+        x_hat *= inv_std[None, :, None, None]
+        self._cache = (x_hat, inv_std, x.shape, training) if _STATE.retain else None
+        out = self.gamma.value[None, :, None, None] * x_hat
+        out += self.beta.value[None, :, None, None]
+        return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         assert self._cache is not None
@@ -238,8 +272,9 @@ class ReLU(Layer):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        self._mask = mask if _STATE.retain else None
+        return x * mask
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         assert self._mask is not None
@@ -260,8 +295,11 @@ class MaxPool2d(Layer):
             raise ValueError(f"spatial size {h}x{w} not divisible by {k}")
         blocks = x.reshape(n, c, h // k, k, w // k, k)
         out = blocks.max(axis=(3, 5))
-        mask = blocks == out[:, :, :, None, :, None]
-        self._cache = (mask, x.shape)
+        self._cache = (
+            (blocks == out[:, :, :, None, :, None], x.shape)
+            if _STATE.retain
+            else None
+        )
         return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:

@@ -7,7 +7,14 @@ from typing import Iterator
 import numpy as np
 
 from .functional import cross_entropy, cross_entropy_grad, softmax
-from .layers import Conv2d, Layer, Linear, Parameter, Sequential
+from .layers import (
+    Conv2d,
+    Layer,
+    Linear,
+    Parameter,
+    Sequential,
+    _no_backward_state,
+)
 
 __all__ = [
     "Model",
@@ -16,6 +23,10 @@ __all__ = [
     "named_parameters",
     "weight_layers",
 ]
+
+
+#: Rows per forward of :meth:`Model.predict` and :meth:`Model.accuracy`.
+PREDICT_BATCH = 256
 
 
 def iter_layers(layer: Layer, prefix: str = "") -> Iterator[tuple[str, Layer]]:
@@ -64,7 +75,9 @@ class PrefixActivationCache:
 
     Because eval-mode forwards are deterministic, every cached entry is
     bitwise what a fresh full forward would produce, so losses computed
-    from :meth:`logits` are bit-identical to ``model.loss``.
+    from :meth:`logits` are bit-identical to ``model.loss``.  The fill
+    forwards feed no backward, so layers keep no backward state from
+    them.
     """
 
     def __init__(self, net: Sequential, x: np.ndarray):
@@ -86,10 +99,11 @@ class PrefixActivationCache:
             raise IndexError(f"layer index {k} out of range 0..{self.depth}")
         j = max(i for i in self._acts if i <= k)
         a = self._acts[j]
-        while j < k:
-            a = self.net.layers[j].forward(a)
-            j += 1
-            self._acts[j] = a
+        with _no_backward_state():
+            while j < k:
+                a = self.net.layers[j].forward(a)
+                j += 1
+                self._acts[j] = a
         return a
 
     def logits(self) -> np.ndarray:
@@ -155,14 +169,17 @@ class Model:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def predict(self, x: np.ndarray, batch: int = 256) -> np.ndarray:
+    def predict(self, x: np.ndarray, batch: int = PREDICT_BATCH) -> np.ndarray:
         outputs = []
-        for start in range(0, x.shape[0], batch):
-            logits = self.forward(x[start : start + batch])
-            outputs.append(np.argmax(logits, axis=1))
+        with _no_backward_state():
+            for start in range(0, x.shape[0], batch):
+                logits = self.forward(x[start : start + batch])
+                outputs.append(np.argmax(logits, axis=1))
         return np.concatenate(outputs)
 
-    def accuracy(self, x: np.ndarray, labels: np.ndarray, batch: int = 256) -> float:
+    def accuracy(
+        self, x: np.ndarray, labels: np.ndarray, batch: int = PREDICT_BATCH
+    ) -> float:
         """Top-1 accuracy in percent."""
         return float(100.0 * (self.predict(x, batch) == labels).mean())
 

@@ -23,14 +23,20 @@ from repro.controller import MemoryController
 from repro.dram import DRAMConfig, DRAMDevice, VulnerabilityMap
 from repro.locker import DRAMLocker, LockMode, LockerConfig
 from repro.nn import (
+    BatchNorm2d,
+    Conv2d,
+    Flatten,
     Model,
     PrefixActivationCache,
     QuantizedModel,
+    ReLU,
+    Sequential,
     WeightStore,
     make_dataset,
     resnet20,
     train,
 )
+from repro.nn.layers import Layer
 from repro.nn.train import TrainConfig
 
 TRH = 60
@@ -336,26 +342,18 @@ class TestSessionInvalidation:
 # Digest memoization: blocked iterations never re-run predict
 # ----------------------------------------------------------------------
 class TestProbeMemoization:
-    def test_probes_memoize_until_weights_change(self, qmodel, dataset, monkeypatch):
+    def test_probes_memoize_until_weights_change(self, qmodel, dataset):
         session = SearchSession(qmodel, engine="suffix")
-        calls = {"predict": 0}
-        real_predict = type(qmodel.model).predict
-
-        def counting_predict(self, x, batch=256):
-            calls["predict"] += 1
-            return real_predict(self, x, batch)
-
-        monkeypatch.setattr(type(qmodel.model), "predict", counting_predict)
         first = session.accuracy(dataset.test_x, dataset.test_y)
         again = session.accuracy(dataset.test_x, dataset.test_y)
         assert first == again
-        assert calls["predict"] == 1
+        assert session.stats.probe_misses == 1
         assert session.stats.probe_hits == 1
         # A committed flip changes the digest: the probe recomputes.
         name = next(iter(qmodel.tensors))
         qmodel.flip_bit(name, 0, 7)
         session.accuracy(dataset.test_x, dataset.test_y)
-        assert calls["predict"] == 2
+        assert session.stats.probe_misses == 2
 
     def test_gradients_memoize_on_digest(self, qmodel, dataset):
         session = SearchSession(qmodel, engine="suffix")
@@ -402,3 +400,120 @@ class TestCandidateBatching:
             qmodel.flip_bit(cname, index, bit)
         qmodel.load_into_model()
         assert first == by_hand
+
+
+# ----------------------------------------------------------------------
+# Chunked, prefix-cached probes
+# ----------------------------------------------------------------------
+class TestChunkedProbes:
+    @pytest.fixture()
+    def probe_set(self, dataset):
+        """300 rows: one full predict batch of 256 plus a ragged 44."""
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(300, *dataset.test_x.shape[1:])).astype(np.float32)
+        return x, rng.integers(0, 4, size=300)
+
+    @staticmethod
+    def assert_probes_exact(session, x, labels):
+        model = session.model
+        assert session.accuracy(x, labels) == model.accuracy(x, labels)
+        predictions = model.predict(x)
+        for target in range(4):
+            assert session.success_rate(x, target, key=f"asr{target}") == float(
+                100.0 * (predictions == target).mean()
+            )
+
+    def test_exact_after_a_flip_in_each_layer(self, qmodel, probe_set):
+        """Flips walk from the last weight layer to the first, so every
+        flip also lands in an earlier layer than the cached one."""
+        x, labels = probe_set
+        session = SearchSession(qmodel, engine="suffix")
+        self.assert_probes_exact(session, x, labels)
+        chunks = [session._cache_for(x, 0, 256), session._cache_for(x, 256, 512)]
+        assert [c.x.shape[0] for c in chunks] == [256, 44]
+        depth = chunks[0].depth
+        firsts = {}
+        for name in qmodel.tensors:
+            firsts.setdefault(int(name.split(".", 1)[0]), name)
+        for top in sorted(firsts, reverse=True):
+            qmodel.flip_bit(firsts[top], 0, 6)
+            session.refresh()
+            for cache in chunks:
+                assert cache.cached_indices() == list(range(top + 1))
+            self.assert_probes_exact(session, x, labels)
+            for cache in chunks:
+                assert cache.cached_indices() == list(range(depth + 1))
+
+    def test_probe_rows_in_one_chunk_share_the_term_cache(self, qmodel, dataset):
+        session = SearchSession(qmodel, engine="suffix")
+        x, labels = dataset.test_x[:40], dataset.test_y[:40]
+        session.objective((SearchTerm(x, labels),))
+        misses = session.stats.probe_misses
+        assert session._cache_for(x, 0, 256) is session._cache_for(x)
+        assert session.accuracy(x, labels) == qmodel.model.accuracy(x, labels)
+        assert session.stats.probe_misses == misses + 1
+
+
+# ----------------------------------------------------------------------
+# Per-layer batch verdicts and backward state
+# ----------------------------------------------------------------------
+class BatchSizeScale(Layer):
+    """Scales by a factor that grows with the batch size: each sample's
+    output changes when candidates are stacked along the batch axis."""
+
+    def forward(self, x, training=False):
+        return x * np.float32(1.0 + 0.1 * x.shape[0])
+
+    def backward(self, dy):
+        return dy
+
+
+class TestPerLayerVerdicts:
+    def test_only_the_batch_dependent_layer_runs_per_candidate(self, dataset):
+        # After the candidates' conv, every layer but the stub is
+        # elementwise, so its stacked forward is exact on any host.
+        rng = np.random.default_rng(4)
+        net = Sequential(
+            Conv2d(3, 4, 3, rng=rng),
+            BatchNorm2d(4),
+            ReLU(),
+            BatchSizeScale(),
+            BatchNorm2d(4),
+            ReLU(),
+            Flatten(),
+        )
+        qmodel = QuantizedModel(Model(net, name="stub"))
+        session = SearchSession(qmodel, engine="suffix")
+        x = dataset.test_x[:6]
+        labels = np.arange(6) * 37
+        terms = (SearchTerm(x, labels),)
+        candidates = [("0", i, 6) for i in range(4)]
+        first = session.evaluate_flips(terms, candidates)
+        verdicts = {key[0]: ok for key, ok in session._batch_ok.items()}
+        assert verdicts == {1: True, 2: True, 3: False, 4: True, 5: True, 6: True}
+        assert session.evaluate_flips(terms, candidates) == first
+        by_hand = []
+        for name, index, bit in candidates:
+            qmodel.flip_bit(name, index, bit)
+            by_hand.append(qmodel.model.loss(x, labels))
+            qmodel.flip_bit(name, index, bit)
+        qmodel.load_into_model()
+        assert first == by_hand
+
+    def test_gradient_pass_keeps_its_backward_state(self, qmodel, dataset):
+        terms = (SearchTerm(dataset.test_x[:8], dataset.test_y[:8]),)
+        session = SearchSession(qmodel, engine="suffix")
+        candidates = [(name, 0, 6) for name in list(qmodel.tensors)[::4]]
+        session.evaluate_flips(terms, candidates)
+        session.accuracy(dataset.test_x, dataset.test_y)
+        # Inference forwards left no patch matrix behind.
+        convs = [
+            layer
+            for layer in qmodel.model.weight_layers().values()
+            if isinstance(layer, Conv2d)
+        ]
+        assert all(conv._cache is None for conv in convs)
+        grads = session.objective_grads(terms)
+        fresh = SearchSession(qmodel, engine="suffix").objective_grads(terms)
+        assert grads.keys() == fresh.keys()
+        assert all(grads[n].tobytes() == fresh[n].tobytes() for n in grads)
