@@ -15,7 +15,6 @@ baselines of Table II train.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
@@ -39,14 +38,8 @@ __all__ = [
 WeightTransform = Callable[[np.ndarray], np.ndarray]
 
 
-class _BackwardState(threading.local):
-    #: Whether forwards keep what their backward reads.  Per thread, so
-    #: an inference forward on one thread never strips the state of a
-    #: training step on another.
-    retain = True
-
-
-_STATE = _BackwardState()
+#: Whether forwards keep what their backward reads.
+_RETAIN_BACKWARD_STATE = True
 
 
 @contextmanager
@@ -55,12 +48,13 @@ def _no_backward_state() -> Iterator[None]:
     patch matrices, normalized activations and masks instead of
     caching them.  Outputs are unchanged; a ``backward`` after such a
     forward fails its "forward before backward" assertion."""
-    previous = _STATE.retain
-    _STATE.retain = False
+    global _RETAIN_BACKWARD_STATE
+    previous = _RETAIN_BACKWARD_STATE
+    _RETAIN_BACKWARD_STATE = False
     try:
         yield
     finally:
-        _STATE.retain = previous
+        _RETAIN_BACKWARD_STATE = previous
 
 
 class Parameter:
@@ -147,7 +141,7 @@ class Conv2d(Layer):
         out = contract("of,nfp->nop", weight, cols)
         if self.bias is not None:
             out += self.bias.value[None, :, None]
-        self._cache = (x.shape, cols) if _STATE.retain else None
+        self._cache = (x.shape, cols) if _RETAIN_BACKWARD_STATE else None
         return np.ascontiguousarray(
             out.reshape(n, self.out_channels, oh, ow)
         )
@@ -197,7 +191,7 @@ class Linear(Layer):
         return self.weight.value
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._x = x if _STATE.retain else None
+        self._x = x if _RETAIN_BACKWARD_STATE else None
         out = x @ self.effective_weight().T
         if self.bias is not None:
             out += self.bias.value
@@ -242,7 +236,9 @@ class BatchNorm2d(Layer):
         # the same order, with two fewer full-size temporaries.
         x_hat = x - mean[None, :, None, None]
         x_hat *= inv_std[None, :, None, None]
-        self._cache = (x_hat, inv_std, x.shape, training) if _STATE.retain else None
+        self._cache = (
+            (x_hat, inv_std, x.shape, training) if _RETAIN_BACKWARD_STATE else None
+        )
         out = self.gamma.value[None, :, None, None] * x_hat
         out += self.beta.value[None, :, None, None]
         return out
@@ -273,7 +269,7 @@ class ReLU(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         mask = x > 0
-        self._mask = mask if _STATE.retain else None
+        self._mask = mask if _RETAIN_BACKWARD_STATE else None
         return x * mask
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -297,7 +293,7 @@ class MaxPool2d(Layer):
         out = blocks.max(axis=(3, 5))
         self._cache = (
             (blocks == out[:, :, :, None, :, None], x.shape)
-            if _STATE.retain
+            if _RETAIN_BACKWARD_STATE
             else None
         )
         return out
