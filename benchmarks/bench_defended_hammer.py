@@ -29,7 +29,8 @@ import statistics
 import time
 
 from repro.eval import Scale
-from repro.eval.harness import DEFENDED_HAMMER_DEFENSES, run_scenario, Scenario
+from repro.defenses.builders import DEFENDED_HAMMER_DEFENSES
+from repro.eval.harness import run_scenario, Scenario
 from repro.eval.regression import DEFENDED_HAMMER_SCHEMA, host_meta
 
 ARTIFACT = "BENCH_defended_hammer.json"

@@ -16,7 +16,7 @@ import argparse
 
 from repro.defenses import format_table1
 from repro.eval import Scale, Scenario, format_table, run_matrix
-from repro.eval.harness import DEFENSE_BUILDERS
+from repro.defenses.builders import DEFENSE_BUILDERS
 
 TRH = 400
 

@@ -1,9 +1,9 @@
 """The attack registry: one dispatch point for every weight attack.
 
 Defenses are dispatched through a name -> factory table
-(``DEFENSE_BUILDERS`` in the harness); attacks get the same treatment
-here so the evaluation matrix can enumerate them declaratively.  An
-:class:`AttackSpec` binds a name to
+(``DEFENSE_BUILDERS`` in ``repro.defenses.builders``); attacks get the
+same treatment here so the evaluation matrix can enumerate them
+declaratively.  An :class:`AttackSpec` binds a name to
 
 * a **builder** -- ``(AttackContext, **params) -> Attack`` -- that
   instantiates the attack against a victim model, optionally routed

@@ -2,9 +2,7 @@
 
 These dicts used to live in ``eval/harness.py``; the serving facade
 (`repro.serving.serve`) now needs them too, and importing the harness
-from the serving package would be circular -- so the tables live here
-and the harness re-exports the *same dict objects* (callers that
-monkeypatch ``harness.DEFENDED_HAMMER_DEFENSES`` keep working).
+from the serving package would be circular -- so the tables live here.
 
 Two tables, two operating points:
 

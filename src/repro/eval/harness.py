@@ -96,8 +96,6 @@ __all__ = [
     "quick_scenarios",
     "serving_scenarios",
     "SCENARIO_RUNNERS",
-    "DEFENSE_BUILDERS",
-    "DEFENDED_HAMMER_DEFENSES",
 ]
 
 logger = logging.getLogger("repro.eval.harness")
@@ -369,11 +367,6 @@ def _run_layout_ablation(scale: Scale, seed: int) -> dict:
         ("guard-rows" if guard else "contiguous"): stats
         for guard, stats in run_layout_ablation().items()
     }
-
-
-# DEFENSE_BUILDERS / DEFENDED_HAMMER_DEFENSES are re-exported above
-# from repro.defenses.builders (the canonical definitions) so existing
-# ``harness.DEFENSE_BUILDERS`` callers keep working unchanged.
 
 
 def _run_defense_campaign(

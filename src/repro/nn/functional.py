@@ -9,6 +9,7 @@ __all__ = [
     "im2col",
     "col2im",
     "contract",
+    "contract_verified",
     "softmax",
     "cross_entropy",
     "cross_entropy_grad",
@@ -42,14 +43,31 @@ _CONTRACT_FAST = {
 _CONTRACT_OK: dict[tuple, bool] = {}
 
 
-def contract(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def contract_verified(
+    spec: str, a: np.ndarray, b_shape: tuple, b_dtype: np.dtype
+) -> bool:
+    """Whether :func:`contract` runs the fast path for this shape class."""
+    key = (spec, a.shape, b_shape, a.dtype.char, np.dtype(b_dtype).char)
+    return bool(_CONTRACT_OK.get(key))
+
+
+def contract(
+    spec: str, a: np.ndarray, b: np.ndarray, whole: tuple | None = None
+) -> np.ndarray:
     """``np.einsum(spec, a, b, optimize=True)``, bit-for-bit, through the
     fast single-GEMM path whenever that path has been verified identical
-    for this shape class."""
-    key = (spec, a.shape, b.shape, a.dtype.char, b.dtype.char)
+    for this shape class.
+
+    ``whole`` (conv forward only): ``b`` is a run of images of an
+    operand of shape ``whole`` whose class is verified; the fast path
+    runs one GEMM per image, so the run's output rows are the bytes the
+    whole operand's would be."""
+    key = (spec, a.shape, whole or b.shape, a.dtype.char, b.dtype.char)
     ok = _CONTRACT_OK.get(key)
     if ok:
         return _CONTRACT_FAST[spec](a, b)
+    if whole is not None and whole != b.shape:
+        raise ValueError("a run of images needs a verified whole class")
     ein = np.einsum(spec, a, b, optimize=True)
     if ok is None:
         _CONTRACT_OK[key] = bool(
@@ -67,24 +85,57 @@ def conv_output_hw(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, 
     return oh, ow
 
 
+#: Bytes of column planes im2col gathers per run of images, so pass 2
+#: reads them back from cache.
+_GATHER_BYTES = 256 * 1024
+
+
+def _inside(offset: int, stride: int, pad: int, size: int, count: int):
+    """The outputs ``[lo, hi)`` of ``range(count)`` whose input index
+    ``offset + stride*j - pad`` lies in ``[0, size)``, and the input
+    index of ``lo``."""
+    lo = min(count, max(0, -((offset - pad) // stride)))
+    hi = max(lo, min(count, (size - 1 + pad - offset) // stride + 1))
+    return lo, hi, offset + stride * lo - pad
+
+
 def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
-    """(N, C, H, W) -> (N, C*k*k, OH*OW) patch matrix."""
+    """(N, C, H, W) -> (N, C*k*k, OH*OW) patch matrix, rows in (C, k, k)
+    order (the layout col2im's taps unpack).
+
+    Two copies, a run of images at a time, and no padded image.  Pass 1
+    writes planes ``(run, C, k, min(stride, k), depth, OW)``: for kernel
+    column ``kj`` and row phase ``ki % stride``, the zero-padded rows of
+    that phase, shifted by ``kj`` and subsampled to the ``OW`` output
+    columns.  Tap ``(ki, kj)`` reads rows ``ki // stride`` onwards of
+    its phase, one contiguous ``OH*OW`` run, so pass 2 copies long runs
+    into place, one kernel row ``ki`` at a time.
+    """
     n, c, h, w = x.shape
     oh, ow = conv_output_hw(h, w, k, stride, pad)
-    if pad:
-        # Zeros plus one interior copy: what np.pad(mode="constant")
-        # builds, without its per-call bookkeeping.
-        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-        padded[:, :, pad : pad + h, pad : pad + w] = x
-    else:
-        padded = x
-    # One strided view + one copy beats fancy indexing by a wide margin
-    # on the conv-heavy forward pass; rows are in (C, k, k) order, the
-    # layout col2im's taps unpack.
-    windows = np.lib.stride_tricks.sliding_window_view(
-        padded, (k, k), axis=(2, 3)
-    )[:, :, ::stride, ::stride]
-    cols = windows.transpose(0, 1, 4, 5, 2, 3)
+    phases = min(stride, k)
+    depth = (k - 1) // stride + oh
+    cols = np.empty((n, c, k, k, oh, ow), dtype=x.dtype)
+    rows = max(1, _GATHER_BYTES // (c * k * phases * depth * ow * x.itemsize))
+    # Zero once: runs rewrite the same in-image cells, so the padding
+    # cells stay zero.
+    planes = np.zeros((min(rows, n), c, k, phases, depth, ow), dtype=x.dtype)
+    for start in range(0, n, rows):
+        run = x[start : start + rows]
+        m = len(run)
+        for kj in range(k):
+            lo, hi, col = _inside(kj, stride, pad, w, ow)
+            for phase in range(phases):
+                top, bottom, row = _inside(phase, stride, pad, h, depth)
+                planes[:m, :, kj, phase, top:bottom, lo:hi] = run[
+                    :,
+                    :,
+                    row : row + stride * (bottom - top) : stride,
+                    col : col + stride * (hi - lo) : stride,
+                ]
+        for ki in range(k):
+            q = ki // stride
+            cols[start : start + m, :, ki] = planes[:m, :, :, ki % stride, q : q + oh]
     return cols.reshape(n, c * k * k, oh * ow)
 
 

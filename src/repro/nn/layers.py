@@ -20,7 +20,13 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .functional import col2im, contract, conv_output_hw, im2col
+from .functional import (
+    col2im,
+    contract,
+    contract_verified,
+    conv_output_hw,
+    im2col,
+)
 
 __all__ = [
     "Parameter",
@@ -40,6 +46,10 @@ WeightTransform = Callable[[np.ndarray], np.ndarray]
 
 #: Whether forwards keep what their backward reads.
 _RETAIN_BACKWARD_STATE = True
+
+#: Patch-matrix bytes per im2col -> GEMM chunk of an inference forward:
+#: about what a core's L2 holds next to the GEMM's working set.
+_CONV_CHUNK_BYTES = 512 * 1024
 
 
 @contextmanager
@@ -98,7 +108,16 @@ def _kaiming(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator) -> n
 
 
 class Conv2d(Layer):
-    """3x3/1x1-style convolution via im2col."""
+    """3x3/1x1-style convolution via im2col and one GEMM per image.
+
+    A forward that keeps backward state builds the whole batch's patch
+    matrix and keeps it for ``backward``.  Under
+    :func:`_no_backward_state` the forward keeps nothing, and once the
+    batch's GEMM class is verified to run the fast path (after its
+    first forward) it runs im2col -> GEMM on chunks of about
+    :data:`_CONV_CHUNK_BYTES` of patch matrix, so each chunk is still in
+    cache when the GEMM reads it.  The output bytes are the same.
+    """
 
     def __init__(
         self,
@@ -135,16 +154,26 @@ class Conv2d(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         n, c, h, w = x.shape
-        oh, ow = conv_output_hw(h, w, self.kernel, self.stride, self.pad)
-        cols = im2col(x, self.kernel, self.stride, self.pad)
+        k, stride, pad = self.kernel, self.stride, self.pad
+        oh, ow = conv_output_hw(h, w, k, stride, pad)
         weight = self.effective_weight()
-        out = contract("of,nfp->nop", weight, cols)
+        # The fast path runs one GEMM per image, so chunks of a verified
+        # class give the whole batch's bytes; einsum's cannot be split.
+        whole = (n, c * k * k, oh * ow)
+        rows = n
+        if not _RETAIN_BACKWARD_STATE and contract_verified(
+            "of,nfp->nop", weight, whole, x.dtype
+        ):
+            rows = max(1, _CONV_CHUNK_BYTES // (whole[1] * whole[2] * x.itemsize))
+        parts = []
+        for start in range(0, n, rows):
+            cols = im2col(x[start : start + rows], k, stride, pad)
+            parts.append(contract("of,nfp->nop", weight, cols, whole))
+        out = parts[0] if len(parts) == 1 else np.concatenate(parts)
         if self.bias is not None:
             out += self.bias.value[None, :, None]
         self._cache = (x.shape, cols) if _RETAIN_BACKWARD_STATE else None
-        return np.ascontiguousarray(
-            out.reshape(n, self.out_channels, oh, ow)
-        )
+        return np.ascontiguousarray(out.reshape(n, self.out_channels, oh, ow))
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         assert self._cache is not None, "forward before backward"

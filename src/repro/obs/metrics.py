@@ -23,6 +23,8 @@ disabled contract lives one level up -- hot sites guard on
 
 from __future__ import annotations
 
+import threading
+
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 
@@ -101,13 +103,22 @@ class MetricsRegistry:
     registry-level ``updates`` tally counts every instrument write --
     the hit count ``benchmarks/bench_obs.py`` uses to bound the
     disabled-path guard cost.
+
+    One lock guards get-or-create, every write-through update and
+    ``snapshot``: the ``LiveServer`` ingest thread writes
+    ``serving.backlog_depth`` while the executor thread writes the
+    rest.  Instruments returned by ``counter`` / ``gauge`` /
+    ``histogram`` are not locked; write through the registry when
+    another thread may write the same key.
     """
 
     def __init__(self) -> None:
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
         self.updates = 0
+        self._lock = threading.Lock()
 
     def _get(self, kind: type, name: str, labels: dict):
+        """Get-or-create; the caller holds ``_lock``."""
         key = instrument_key(name, labels)
         instrument = self._instruments.get(key)
         if instrument is None:
@@ -120,53 +131,62 @@ class MetricsRegistry:
         return instrument
 
     def counter(self, name: str, **labels) -> Counter:
-        return self._get(Counter, name, labels)
+        with self._lock:
+            return self._get(Counter, name, labels)
 
     def gauge(self, name: str, **labels) -> Gauge:
-        return self._get(Gauge, name, labels)
+        with self._lock:
+            return self._get(Gauge, name, labels)
 
     def histogram(self, name: str, **labels) -> Histogram:
-        return self._get(Histogram, name, labels)
+        with self._lock:
+            return self._get(Histogram, name, labels)
 
     # Write-through helpers: one call per hot-site line, counted in
     # ``updates``.
     def inc(self, name: str, amount: int = 1, **labels) -> None:
-        self._get(Counter, name, labels).inc(amount)
-        self.updates += 1
+        with self._lock:
+            self._get(Counter, name, labels).inc(amount)
+            self.updates += 1
 
     def set(self, name: str, value: float, **labels) -> None:
-        self._get(Gauge, name, labels).set(value)
-        self.updates += 1
+        with self._lock:
+            self._get(Gauge, name, labels).set(value)
+            self.updates += 1
 
     def high_water(self, name: str, value: float, **labels) -> None:
-        self._get(Gauge, name, labels).high_water(value)
-        self.updates += 1
+        with self._lock:
+            self._get(Gauge, name, labels).high_water(value)
+            self.updates += 1
 
     def observe(self, name: str, value: float, count: int = 1, **labels) -> None:
-        self._get(Histogram, name, labels).observe(value, count)
-        self.updates += 1
+        with self._lock:
+            self._get(Histogram, name, labels).observe(value, count)
+            self.updates += 1
 
     def snapshot(self) -> dict:
         """Deterministic dict form: sorted keys, mergeable values."""
         counters: dict[str, int] = {}
         gauges: dict[str, float] = {}
         histograms: dict[str, dict] = {}
-        for key in sorted(self._instruments):
-            instrument = self._instruments[key]
-            if isinstance(instrument, Counter):
-                counters[key] = instrument.value
-            elif isinstance(instrument, Gauge):
-                gauges[key] = instrument.value
-            else:
-                histograms[key] = {
-                    "count": instrument.count,
-                    "bins": instrument.bins(),
-                }
+        with self._lock:
+            for key in sorted(self._instruments):
+                instrument = self._instruments[key]
+                if isinstance(instrument, Counter):
+                    counters[key] = instrument.value
+                elif isinstance(instrument, Gauge):
+                    gauges[key] = instrument.value
+                else:
+                    histograms[key] = {
+                        "count": instrument.count,
+                        "bins": instrument.bins(),
+                    }
+            updates = self.updates
         return {
             "counters": counters,
             "gauges": gauges,
             "histograms": histograms,
-            "updates": self.updates,
+            "updates": updates,
         }
 
     @staticmethod

@@ -97,7 +97,7 @@ class ShardedMemorySystem:
         is the channel-0 template -- other channels get a re-seeded
         copy so their swap-failure draws are independent.
         ``defense_builder`` is a factory called once per channel, the
-        same way the harness's ``DEFENSE_BUILDERS`` entries are.
+        same way the ``DEFENSE_BUILDERS`` entries are.
         Channel 0 uses ``seed`` itself (the single-channel equivalence
         anchor); channel ``c > 0`` derives ``derive_seed(f"channel-{c}",
         seed)``.

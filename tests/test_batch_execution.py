@@ -18,7 +18,7 @@ from repro.controller import Kind, MemRequest, MemoryController, RequestRun
 from repro.defenses import PARA
 from repro.dram import DRAMConfig, DRAMDevice, VulnerabilityMap
 from repro.dram.stats import walk_add, walk_add_many
-from repro.eval.harness import DEFENSE_BUILDERS
+from repro.defenses.builders import DEFENSE_BUILDERS
 from repro.locker import DRAMLocker, LockerConfig
 
 

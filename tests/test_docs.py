@@ -37,11 +37,12 @@ def pristine_registries():
     """Docs snippets register demo attacks/defenses/runners; none of
     that may leak into the rest of the suite."""
     from repro.attacks import registry
+    from repro.defenses import builders
     from repro.eval import harness
 
     saved = (
         dict(registry.ATTACKS),
-        dict(harness.DEFENDED_HAMMER_DEFENSES),
+        dict(builders.DEFENDED_HAMMER_DEFENSES),
         dict(harness.SCENARIO_RUNNERS),
     )
     try:
@@ -49,8 +50,8 @@ def pristine_registries():
     finally:
         registry.ATTACKS.clear()
         registry.ATTACKS.update(saved[0])
-        harness.DEFENDED_HAMMER_DEFENSES.clear()
-        harness.DEFENDED_HAMMER_DEFENSES.update(saved[1])
+        builders.DEFENDED_HAMMER_DEFENSES.clear()
+        builders.DEFENDED_HAMMER_DEFENSES.update(saved[1])
         harness.SCENARIO_RUNNERS.clear()
         harness.SCENARIO_RUNNERS.update(saved[2])
 

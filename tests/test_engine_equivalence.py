@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.controller import Kind, MemRequest, MemoryController, RequestRun
 from repro.dram import DRAMConfig, DRAMDevice, VulnerabilityMap
 from repro.engines import EXECUTION_ENGINES
-from repro.eval.harness import DEFENDED_HAMMER_DEFENSES
+from repro.defenses.builders import DEFENDED_HAMMER_DEFENSES
 from repro.locker import DRAMLocker, LockerConfig
 from repro.serving import ServingConfig, run_serving
 

@@ -12,14 +12,17 @@ The two halves of the :mod:`repro.obs` contract:
   invariant to the worker count.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro import obs
 from repro.controller import Kind, MemRequest, MemoryController
 from repro.dram import DRAMConfig, DRAMDevice, VulnerabilityMap
 from repro.engines import EXECUTION_ENGINES
+from repro.defenses.builders import DEFENDED_HAMMER_DEFENSES
 from repro.eval.harness import (
-    DEFENDED_HAMMER_DEFENSES,
     run_matrix,
     serving_scenarios,
     shutdown_worker_pool,
@@ -259,3 +262,59 @@ def test_run_scenario_without_telemetry_records_none(monkeypatch):
     )
     assert result.ok
     assert result.telemetry is None
+
+
+# ----------------------------------------------------------------------
+# Thread safety: the LiveServer ingest thread and the executor thread
+# write one registry
+# ----------------------------------------------------------------------
+def test_metrics_registry_exact_under_two_writer_threads():
+    # Switch threads as often as the interpreter allows, so an unguarded
+    # read-modify-write loses updates within a few thousand writes.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        registry = obs.MetricsRegistry()
+        writes = 5_000
+        # Two writers (the ingest and executor threads) and a reader.
+        start = threading.Barrier(3)
+        done = threading.Event()
+        errors = []
+
+        def writer(tag):
+            start.wait()
+            for i in range(writes):
+                registry.inc("shared")
+                # Both threads get-or-create the same new key.
+                registry.inc("fresh", step=i)
+                registry.high_water("depth", i, writer=tag)
+
+        def reader():
+            start.wait()
+            while not done.wait(0.001):
+                try:
+                    registry.snapshot()
+                except Exception as error:  # pragma: no cover - the bug
+                    errors.append(error)
+                    return
+
+        threads = [threading.Thread(target=writer, args=(tag,)) for tag in "ab"]
+        snapshotter = threading.Thread(target=reader)
+        for thread in threads + [snapshotter]:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        done.set()
+        snapshotter.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads + [snapshotter])
+    assert errors == []
+    snapshot = registry.snapshot()
+    counters = snapshot["counters"]
+    assert counters["shared"] == 2 * writes
+    fresh = [value for key, value in counters.items() if key.startswith("fresh")]
+    assert len(fresh) == writes and set(fresh) == {2}
+    for tag in "ab":
+        assert snapshot["gauges"][f"depth{{writer={tag}}}"] == writes - 1
+    assert snapshot["updates"] == 2 * 3 * writes
