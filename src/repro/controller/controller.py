@@ -22,11 +22,13 @@ Execution engines and APIs:
   of identical attacker activations (the hammer hot loop) are accounted
   in bulk -- **including under a baseline defense**, via the
   :class:`~repro.defenses.base.Defense` bulk hook pair -- with chunk
-  boundaries at every point where any observable can change: refresh
-  ticks, RowHammer threshold crossings, locker deadlines and
-  unlock-SWAPs, and every defense event (counter thresholds, sampler
-  insertions/evictions, Hydra escalations, TWiCE prunes, swap/shuffle
-  moves, PARA's sub-``p`` draws).  Outcomes are bit-identical to
+  boundaries at every point where any observable can change: REFs
+  that refresh the hammered row or complete a refresh window (other
+  REFs commute with a chunk and fire inside it), RowHammer threshold
+  crossings, locker deadlines and unlock-SWAPs, and every defense
+  event (counter thresholds, sampler insertions/evictions, Hydra
+  escalations, TWiCE prunes, swap/shuffle moves, PARA's sub-``p``
+  draws).  Outcomes are bit-identical to
   calling ``execute`` in a loop -- hammer counters, ``MemoryStats``
   (floats accumulated in the scalar addition order via the
   sequential-accumulator helpers), defense state, RNG streams.
@@ -450,9 +452,10 @@ class MemoryController:
         sink,
     ) -> None:
         """Drain ``requests[start:end]`` -- identical ACTs of one row --
-        alternating exact bulk chunks with scalar steps at every point
-        where a refresh tick, threshold crossing, locker deadline, or
-        defense event could change the outcome."""
+        in exact bulk chunks, with scalar steps where a threshold
+        crossing, locker deadline or defense event could change the
+        outcome; a chunk ends on the step that makes a REF of the row,
+        or a window-completing REF, due."""
         device = self.device
         refresh = device.refresh
         rowhammer = device.rowhammer
@@ -507,12 +510,14 @@ class MemoryController:
 
             extra_ns = lock_ns + defense_extra  # the scalar fold order
             step_ns = trc + extra_ns
-            # One-step safety margin keeps every refresh tick and every
-            # threshold crossing on the scalar path.
-            count = min(
-                limit,
-                refresh.quiet_steps(device.now_ns, step_ns),
-                rowhammer.quiet_span(physical),
+            # Threshold-crossing ACTs stay on the scalar path; a chunk
+            # runs through REFs that commute with it and ends on the
+            # step that makes a non-commuting one due.
+            count = refresh.act_span(
+                physical,
+                device.now_ns,
+                step_ns,
+                min(limit, rowhammer.quiet_span(physical)),
             )
             if count <= 0:
                 sink.add(self.execute(requests[index]))
@@ -536,11 +541,14 @@ class MemoryController:
         sink,
     ) -> None:
         """Account ``count`` allowed ACT+PRE cycles of ``physical`` in
-        bulk.  The caller guarantees no refresh tick, no threshold
-        crossing, no locker deadline, and no defense event falls inside
-        the chunk, so every accumulator advances by a constant per-step
-        value -- replayed in the scalar addition order by
-        :func:`~repro.dram.stats.walk_add_many`."""
+        bulk.  The caller guarantees no threshold crossing, no locker
+        deadline and no defense event falls inside the chunk, and that
+        every REF due before its last step refreshes other rows and
+        completes no window.  So every accumulator advances by a
+        constant per-step value -- replayed in the scalar addition
+        order by :func:`~repro.dram.stats.walk_add_many` -- and the
+        REFs fire after the commits, as the scalar step orders them:
+        ACT, hook, PRE, advance."""
         device = self.device
         stats = device.stats
         breakdown = stats.energy
@@ -583,6 +591,7 @@ class MemoryController:
             self.locker.charge_bulk(count, lookup_hit)
         if self.defense is not None:
             self.defense.on_activate_run(physical, count, now_start, step_ns)
+        device.refresh.tick(device.now_ns)
 
         tel = obs.ACTIVE
         if tel is not None:

@@ -15,8 +15,11 @@ class MisraGries:
 
         true_count - N/(k+1) <= estimate(item) <= true_count
 
-    where ``N`` is the total number of observations.  Graphene relies on
-    it to never *miss* a row that was activated more than the threshold.
+    where ``N`` is the total number of observations and ``true_count``
+    counts the item's observations since its last :meth:`reset_item`
+    (every counter is at least 1, so no dead entry holds a slot).
+    Graphene relies on it to never *miss* a row that was activated more
+    than the threshold.
     """
 
     def __init__(self, k: int):
@@ -76,6 +79,6 @@ class MisraGries:
         self.observations = 0
 
     def reset_item(self, item: int) -> None:
-        """Graphene resets a counter after mitigating its row."""
-        if item in self.counters:
-            self.counters[item] = 0
+        """Graphene resets a counter after mitigating its row.  A zero
+        counter is a free Misra-Gries slot, so the entry goes."""
+        self.counters.pop(item, None)

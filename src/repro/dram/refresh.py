@@ -11,6 +11,10 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
+import numpy as np
+
+from .stats import walk_add
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .device import DRAMDevice
 
@@ -35,11 +39,38 @@ class RefreshEngine:
             self._refresh_slice()
             self.next_ref_ns += self.device.timing.trefi
 
-    def quiet_steps(self, now_ns: float, step_ns: float) -> int:
-        """How many ``step_ns``-sized steps fit before the next REF is
-        due, with the one-step safety margin the bulk engine uses to
-        keep every refresh tick on the scalar path."""
-        return int((self.next_ref_ns - now_ns) / step_ns) - 1
+    def act_span(self, row: int, now_ns: float, step_ns: float, limit: int) -> int:
+        """How many ``step_ns``-sized ACT steps of ``row`` one bulk
+        chunk may take, at most ``limit``.
+
+        A REF that refreshes another row and completes no window
+        commutes with the chunk, so it may fall inside.  The chunk ends
+        at -- and includes -- the step whose advance makes the first
+        other REF due: the one that refreshes ``row`` or completes a
+        window, which then fires after the chunk's last ACT just as on
+        the scalar path.  Both walks replay the scalar float folds
+        (``next_ref_ns += trefi``, ``now_ns += step_ns``) and stop
+        within reach of the chunk's own length.
+        """
+        if limit <= 0:
+            return 0
+        trefi = self.device.timing.trefi
+        rows = self.rows_per_ref
+        if row >= self.cursor:
+            stop = (row - self.cursor) // rows
+        else:
+            # ``row`` waits for the next window; the window-completing
+            # REF comes first.
+            stop = -(-(self.device.config.total_rows - self.cursor) // rows) - 1
+        reach = now_ns + limit * step_ns
+        refs = min(stop, max(0, int((reach - self.next_ref_ns) / trefi)) + 2)
+        due = walk_add(self.next_ref_ns, trefi, refs)
+        steps = min(limit, max(0, int((due - now_ns) / step_ns)) + 2)
+        times = np.empty(steps + 1)
+        times[0] = now_ns
+        times[1:] = step_ns
+        np.add.accumulate(times, out=times)
+        return min(steps, int(np.searchsorted(times, due)))
 
     def _refresh_slice(self) -> None:
         device = self.device

@@ -71,6 +71,39 @@ class TestMisraGries:
             assert estimate <= true
             assert true - estimate <= len(stream) / (k + 1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("observe", "observe", "observe", "reset")),
+                st.integers(min_value=0, max_value=12),
+            ),
+            min_size=1,
+            max_size=400,
+        ),
+        st.integers(min_value=1, max_value=8),
+    )
+    def test_reset_item_frees_the_slot(self, ops, k):
+        """Graphene, RRS and SRS reset a row's counter after acting on
+        it.  The reset entry must leave the table -- no zero or negative
+        counter may hold a slot -- and the error bound holds from each
+        item's last reset."""
+        mg = MisraGries(k=k)
+        since_reset = {}
+        for op, item in ops:
+            if op == "observe":
+                mg.observe(item)
+                since_reset[item] = since_reset.get(item, 0) + 1
+            else:
+                mg.reset_item(item)
+                since_reset[item] = 0
+            assert len(mg.counters) <= k
+            assert all(count >= 1 for count in mg.counters.values())
+        for item, true in since_reset.items():
+            estimate = mg.estimate(item)
+            assert estimate <= true
+            assert true - estimate <= mg.observations / (k + 1)
+
     def test_k_validated(self):
         with pytest.raises(ValueError):
             MisraGries(0)

@@ -9,12 +9,15 @@ fields, the float accumulators in ``MemoryStats``, hammer counters,
 locker and defense bookkeeping, and whole serving payloads.
 """
 
+import math
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.controller import Kind, MemRequest, MemoryController, RequestRun
-from repro.dram import DRAMConfig, DRAMDevice, VulnerabilityMap
+from repro.dram import DDR4_2400, DRAMConfig, DRAMDevice, VulnerabilityMap
 from repro.engines import EXECUTION_ENGINES
 from repro.defenses.builders import DEFENDED_HAMMER_DEFENSES
 from repro.locker import DRAMLocker, LockerConfig
@@ -33,10 +36,12 @@ FAST_ENGINES = [engine for engine in EXECUTION_ENGINES if engine != "scalar"]
 # Controller-level grid: defense x locker x engines
 # ----------------------------------------------------------------------
 def _build(engine, *, defense_name=None, protected=False, trh=100,
-           relock_interval=150):
+           relock_interval=150, timing=DDR4_2400):
     config = DRAMConfig.tiny()
     vulnerability = VulnerabilityMap(config, seed=3, weak_cell_fraction=1e-4)
-    device = DRAMDevice(config, vulnerability=vulnerability, trh=trh)
+    device = DRAMDevice(
+        config, timing=timing, vulnerability=vulnerability, trh=trh
+    )
     locker = None
     if protected:
         locker = DRAMLocker(
@@ -80,6 +85,7 @@ def _device_state(device):
         device.rowhammer.counters,
         device.refresh.cursor,
         device.refresh.next_ref_ns,
+        device.refresh.windows_completed,
         [device.peek_row(row).tobytes() for row in (9, 10, 11, 21, 50)],
     )
 
@@ -142,23 +148,54 @@ def test_all_engines_agree_across_unlock_swap_windows(relock_interval):
         assert state == reference, engine
 
 
+def _hammer_both(engine, count, **kwargs):
+    """``count`` ACTs of row 50 on the scalar loop and on ``engine``;
+    returns both device states."""
+    device_a, controller_a, _, _ = _build("scalar", **kwargs)
+    request = MemRequest(Kind.ACT, 50, privileged=False)
+    for _ in range(count):
+        controller_a.execute(request)
+    device_b, controller_b, _, _ = _build(engine, **kwargs)
+    controller_b.execute_run(request, count)
+    return _device_state(device_a), _device_state(device_b)
+
+
+#: DDR4 timing with a four-REF refresh window: on the tiny geometry
+#: each REF refreshes 64 rows and every fourth one completes a window.
+SHORT_WINDOW = replace(DDR4_2400, tref_w=4 * DDR4_2400.trefi)
+
+
 @pytest.mark.parametrize("engine", FAST_ENGINES)
 def test_refresh_tick_edge_alignment(engine):
     """ACT-run lengths that end one step before, exactly on, and one
-    step after a refresh tick (and spanning several ticks) -- the
-    boundary cases the bulk engine's one-step safety margin must get
-    exactly right."""
-    probe_device, probe_controller, _, _ = _build("scalar", trh=10**6)
-    step_ns = probe_device.timing.trc
-    quiet = probe_device.refresh.quiet_steps(probe_device.now_ns, step_ns)
-    for count in (quiet - 1, quiet, quiet + 1, quiet + 2, 4 * quiet + 3):
-        device_a, controller_a, _, _ = _build("scalar", trh=10**6)
-        run = RequestRun(MemRequest(Kind.ACT, 50, privileged=False), count)
-        for request in run:
-            controller_a.execute(request)
-        device_b, controller_b, _, _ = _build(engine, trh=10**6)
-        controller_b.execute_run(run.request, count)
-        assert _device_state(device_a) == _device_state(device_b), count
+    step after a refresh tick, spanning several ticks, and ending
+    exactly on a window-completing REF -- the steps where a bulk chunk
+    must stop, or may run through."""
+    probe = _build("scalar", trh=10**6)[0]
+    step_ns = probe.timing.trc
+    # The run length whose last advance makes the first REF due.
+    tick = math.ceil((probe.refresh.next_ref_ns - probe.now_ns) / step_ns)
+    for count in (tick - 1, tick, tick + 1, tick + 2, 4 * tick + 3):
+        scalar, bulk = _hammer_both(engine, count, trh=10**6)
+        assert scalar == bulk, count
+        refreshes = scalar[0]["refreshes"]
+        assert refreshes == (0 if count < tick else count // tick), count
+
+    # Row 50 sits in the first REF's slice, so its counter resets on
+    # the first tick; the window completes on the fourth.
+    probe = _build("scalar", trh=10**6, timing=SHORT_WINDOW)[0]
+    refresh = probe.refresh
+    last_due = (
+        refresh.next_ref_ns
+        + (refresh.refs_per_window - 1) * SHORT_WINDOW.trefi
+    )
+    window = math.ceil((last_due - probe.now_ns) / step_ns)
+    for count in (window - 1, window, window + 1):
+        scalar, bulk = _hammer_both(
+            engine, count, trh=10**6, timing=SHORT_WINDOW
+        )
+        assert scalar == bulk, count
+        assert scalar[5] == (count >= window), count
 
 
 @pytest.mark.parametrize("engine", FAST_ENGINES)
@@ -332,3 +369,65 @@ def test_generated_streams_identical_across_engines(
             offset_ns,
         )
         assert state == reference, engine
+
+
+# ----------------------------------------------------------------------
+# Generated runs across refresh windows and row refreshes
+# ----------------------------------------------------------------------
+#: Rows early, mid and late in the tiny geometry's 256-row sweep, so
+#: the refresh cursor passes them mid-run in every window.
+SWEPT_ROWS = (3, 50, 70, 130, 200, 250)
+
+
+@pytest.mark.parametrize("defense", sorted(DEFENDED_HAMMER_DEFENSES))
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(
+    runs=st.lists(
+        st.tuples(st.sampled_from(SWEPT_ROWS), st.integers(1, 900)),
+        min_size=2,
+        max_size=5,
+    ),
+    refs_per_window=st.integers(2, 6),
+    trh=st.integers(150, 2000),
+    offset_ns=st.integers(0, 7800),
+)
+def test_chunks_span_refresh_windows(
+    defense, runs, refs_per_window, trh, offset_ns
+):
+    """Hammer runs over a refresh window of a few tREFI, with several
+    rows per REF: bulk chunks run through REFs of other rows and must
+    stop on the REF that refreshes the hammered row or completes a
+    window, for every registered defense."""
+    timing = replace(
+        DDR4_2400, tref_w=refs_per_window * DDR4_2400.trefi
+    )
+    builder = DEFENDED_HAMMER_DEFENSES[defense]
+
+    def run(engine):
+        device, controller, locker, installed = _build(
+            engine,
+            defense_name=defense if builder is not None else None,
+            protected=defense == "DRAM-Locker",
+            trh=trh,
+            timing=timing,
+        )
+        assert device.refresh.rows_per_ref > 1
+        device.advance(offset_ns)
+        results = []
+        for row, count in runs:
+            results += controller.execute_batch(
+                RequestRun(MemRequest(Kind.ACT, row, privileged=False), count)
+            )
+        return (
+            _result_fields(results),
+            _device_state(device),
+            _locker_state(locker),
+            _defense_state(installed),
+            None if installed is None else [
+                installed.translate(row) for row in SWEPT_ROWS
+            ],
+        )
+
+    reference = run("scalar")
+    for engine in FAST_ENGINES:
+        assert run(engine) == reference, engine

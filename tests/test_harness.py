@@ -234,13 +234,13 @@ class TestCampaignRunner:
 
 
 class TestDefendedHammerRunner:
-    def _payload(self, defense, engine, trh=400):
+    def _payload(self, defense, engine, trh=400, victims=1):
         result = run_scenario(
             Scenario(
                 "dh", "defended_hammer", QUICK, seed=0,
                 params=(
                     ("defense", defense), ("trh", trh),
-                    ("victims", 1), ("engine", engine),
+                    ("victims", victims), ("engine", engine),
                 ),
             )
         )
@@ -260,6 +260,16 @@ class TestDefendedHammerRunner:
     def test_undefended_campaign_flips_the_bit(self):
         payload = self._payload("None", "bulk")
         assert payload["protected_bits_flipped"] == 1
+
+    def test_srs_keeps_swapping(self):
+        # A reset Misra-Gries entry must free its slot: a zero entry
+        # kept in the table goes negative, SRS's 48-entry table fills
+        # for good after 48 swaps, and 12 of these 16 victims flip.
+        payload = self._payload("SRS", "bulk", trh=3000, victims=16)
+        assert payload["protected_bits_flipped"] == 0
+        # Every victim's 2 x 2 x 3000 campaign ACTs swap once per
+        # SRS threshold (TRH / 8 = 375 ACTs of one row): 32 swaps each.
+        assert payload["defense_actions"] == 16 * 32
 
     def test_locker_cell_blocks_everything(self):
         payload = self._payload("DRAM-Locker", "bulk")
