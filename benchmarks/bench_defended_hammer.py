@@ -8,9 +8,10 @@ Python ``execute()``, one ``on_activate`` dispatch, one
 (``engine="bulk"``: run-length requests, defense-planned chunks,
 summary-mode accounting), and records the per-defense wall-clocks.
 A bulk campaign lasts only 1-26 ms, too short to time on its own, so
-each cell times batches of campaigns lasting at least ``SAMPLE_S`` and
-records the median per-campaign time over ``--repeats`` such samples;
-the speedup is the median of the samples' scalar/bulk ratios.
+each cell times batches of campaigns lasting at least ``SAMPLE_S``
+(``campaign_batches.py``) and records the median per-campaign time
+over ``--repeats`` such samples; the speedup is the median of the
+samples' scalar/bulk ratios.
 
 Both engines must produce **identical scenario payloads** (same flip
 outcomes, issued/blocked tallies, memory stats bit-for-bit, same
@@ -23,14 +24,12 @@ Run with:  python benchmarks/bench_defended_hammer.py [--trh N]
 
 import argparse
 import json
-import math
 import os
 import statistics
 import time
 
-from repro.eval import Scale
+from campaign_batches import CampaignBatches, cell_name, hammer_scenario
 from repro.defenses.builders import DEFENDED_HAMMER_DEFENSES
-from repro.eval.harness import run_scenario, Scenario
 from repro.eval.regression import DEFENDED_HAMMER_SCHEMA, host_meta
 
 ARTIFACT = "BENCH_defended_hammer.json"
@@ -54,47 +53,6 @@ DEFENSES = (
 TARGET_FAMILIES = ("TRR", "PARA", "Graphene", "Hydra", "Counter/Row")
 TARGET_SPEEDUP = 3.0
 
-#: Minimum wall-clock of one timed batch of campaigns.
-SAMPLE_S = 0.1
-
-
-def _cell_name(defense: str) -> str:
-    return defense.lower().replace("/", "-")
-
-
-class _Campaigns:
-    """One defense cell's campaign on one engine, timed in batches of
-    at least ``SAMPLE_S``.  Every campaign's payload must be identical
-    (campaigns are deterministic), which doubles as a reproducibility
-    check."""
-
-    def __init__(self, defense: str, engine: str, trh: int):
-        self.scenario = Scenario(
-            f"defended-{_cell_name(defense)}-{engine}",
-            "defended_hammer",
-            Scale.quick(),
-            seed=0,
-            params=(("defense", defense), ("trh", trh), ("engine", engine)),
-        )
-        self.payload = None
-        self.batch = math.ceil(SAMPLE_S / self._run())
-
-    def _run(self) -> float:
-        result = run_scenario(self.scenario)
-        if not result.ok:
-            raise SystemExit(f"{self.scenario.name} failed:\n{result.error}")
-        if self.payload is not None and result.payload != self.payload:
-            raise SystemExit(
-                f"{self.scenario.name}: nondeterministic payload across "
-                "repeats; refusing to record"
-            )
-        self.payload = result.payload
-        return result.wall_clock_s
-
-    def sample(self) -> float:
-        """Per-campaign wall-clock of one timed batch."""
-        return sum(self._run() for _ in range(self.batch)) / self.batch
-
 
 def _strip_engine(payload: dict) -> dict:
     """Engine-independent view of a payload for the equivalence check."""
@@ -117,8 +75,12 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     defenses = {}
     for defense in DEFENSES:
-        scalar = _Campaigns(defense, "scalar", args.trh)
-        bulk = _Campaigns(defense, "bulk", args.trh)
+        scalar = CampaignBatches(
+            hammer_scenario("defended", defense, "scalar", args.trh)
+        )
+        bulk = CampaignBatches(
+            hammer_scenario("defended", defense, "bulk", args.trh)
+        )
         # Alternate the engines' batches so a change in host load hits
         # both sides of a sample's ratio alike.
         samples = [(scalar.sample(), bulk.sample()) for _ in range(args.repeats)]
@@ -134,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
             "flipped": bulk_payload["protected_bits_flipped"],
             "blocked": sum(o["blocked"] for o in bulk_payload["outcomes"]),
         }
-        defenses[_cell_name(defense)] = cell
+        defenses[cell_name(defense)] = cell
         print(
             f"{defense:12s} scalar {scalar_s * 1e3:8.1f}ms  "
             f"bulk {bulk_s * 1e3:8.1f}ms  ({cell['speedup']:5.2f}x)  "
@@ -162,9 +124,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"artifact: {path}")
 
     slow = {
-        family: defenses[_cell_name(family)]["speedup"]
+        family: defenses[cell_name(family)]["speedup"]
         for family in TARGET_FAMILIES
-        if defenses[_cell_name(family)]["speedup"] < TARGET_SPEEDUP
+        if defenses[cell_name(family)]["speedup"] < TARGET_SPEEDUP
     }
     if slow:
         raise SystemExit(

@@ -22,7 +22,12 @@ the :mod:`repro.obs` contract:
 
 The ``enabled_ratio`` (on/off wall-clock) is also recorded; the gate
 only bounds its growth versus the committed baseline -- the enabled
-path is allowed to cost real time.
+path is allowed to cost real time.  A bulk campaign lasts about a
+millisecond, so each cell times alternating off/on batches of
+campaigns lasting at least ``SAMPLE_S`` (``campaign_batches.py``):
+``off_s``/``on_s`` are the medians of ``--repeats`` per-campaign batch
+times and ``enabled_ratio`` the median of the batch pairs' on/off
+ratios.
 
 Run with:  python benchmarks/bench_obs.py [--repeats N]
 """
@@ -30,11 +35,11 @@ Run with:  python benchmarks/bench_obs.py [--repeats N]
 import argparse
 import json
 import os
+import statistics
 import time
 
+from campaign_batches import CampaignBatches, cell_name, hammer_scenario
 from repro import obs
-from repro.eval import Scale
-from repro.eval.harness import Scenario, run_scenario
 from repro.eval.regression import OBS_SCHEMA, host_meta
 
 ARTIFACT = "BENCH_obs.json"
@@ -49,45 +54,6 @@ CELLS = (
     ("DRAM-Locker", "scalar"),
     ("DRAM-Locker", "bulk"),
 )
-
-
-def _cell_name(defense: str, engine: str) -> str:
-    return f"{defense.lower().replace('/', '-')}/{engine}"
-
-
-def _scenario(defense: str, engine: str, trh: int) -> Scenario:
-    return Scenario(
-        f"obs-{defense.lower().replace('/', '-')}-{engine}",
-        "defended_hammer",
-        Scale.quick(),
-        seed=0,
-        params=(("defense", defense), ("trh", trh), ("engine", engine)),
-    )
-
-
-def _run(scenario: Scenario, repeats: int, enabled: bool):
-    """Best-of-``repeats`` wall-clock plus the (deterministic) payload
-    and, when enabled, the per-cell telemetry snapshot."""
-    best = float("inf")
-    payload = None
-    telemetry = None
-    for _ in range(repeats):
-        if enabled:
-            with obs.enabled_scope():
-                result = run_scenario(scenario)
-        else:
-            result = run_scenario(scenario)
-        if not result.ok:
-            raise SystemExit(f"{scenario.name} failed:\n{result.error}")
-        if payload is not None and result.payload != payload:
-            raise SystemExit(
-                f"{scenario.name}: nondeterministic payload across repeats; "
-                "refusing to record"
-            )
-        payload = result.payload
-        telemetry = result.telemetry
-        best = min(best, result.wall_clock_s)
-    return best, payload, telemetry
 
 
 def _guard_cost_ns(checks: int = 2_000_000) -> float:
@@ -117,8 +83,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--trh", type=int, default=3000,
                         help="RowHammer threshold of the benched device")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="timing repeats per cell (best is recorded)")
+    parser.add_argument("--repeats", type=int, default=5,
+                        help="timed batch pairs per cell (the median is recorded)")
     parser.add_argument("--out", default=os.path.join("benchmarks", "artifacts"))
     args = parser.parse_args(argv)
 
@@ -128,18 +94,22 @@ def main(argv: list[str] | None = None) -> int:
 
     cells = {}
     for defense, engine in CELLS:
-        scenario = _scenario(defense, engine, args.trh)
-        off_s, off_payload, _ = _run(scenario, args.repeats, enabled=False)
-        on_s, on_payload, telemetry = _run(scenario, args.repeats, enabled=True)
-        identical = off_payload == on_payload
-        updates = telemetry["metrics"]["updates"]
-        audit_events = telemetry["audit"]["events"]
+        scenario = hammer_scenario("obs", defense, engine, args.trh)
+        off = CampaignBatches(scenario)
+        on = CampaignBatches(scenario, telemetry=True)
+        samples = [(off.sample(), on.sample()) for _ in range(args.repeats)]
+        off_s = statistics.median(s for s, _ in samples)
+        on_s = statistics.median(s for _, s in samples)
+        ratio = statistics.median(b / a for a, b in samples)
+        identical = off.payload == on.payload
+        updates = on.snapshot["metrics"]["updates"]
+        audit_events = on.snapshot["audit"]["events"]
         disabled_pct = guard_ns * updates / (off_s * 1e9) * 100.0
-        name = _cell_name(defense, engine)
+        name = f"{cell_name(defense)}/{engine}"
         cells[name] = {
             "off_s": round(off_s, 4),
             "on_s": round(on_s, 4),
-            "enabled_ratio": round(on_s / off_s, 3),
+            "enabled_ratio": round(ratio, 3),
             "payload_identical": identical,
             "updates": updates,
             "audit_events": audit_events,
@@ -147,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         print(
             f"{name:22s} off {off_s * 1e3:8.1f}ms  on {on_s * 1e3:8.1f}ms  "
-            f"(x{on_s / off_s:5.2f})  updates={updates:6d}  "
+            f"(x{ratio:5.2f})  updates={updates:6d}  "
             f"audit={audit_events:4d}  disabled~{disabled_pct:.4f}%  "
             f"identical={identical}"
         )

@@ -296,8 +296,9 @@ class MemoryController:
             physical = self.defense.translate(physical)
 
         # --- DDR timing + device commands ---------------------------
-        addr = device.mapper.row_address(physical)
-        bank = device.banks[addr.bank]
+        # The row is decoded once; the device commands take its bank.
+        bank_index = device.mapper.row_address(physical).bank
+        bank = device.banks[bank_index]
         bursts = max(1, math.ceil(request.size / 64))
         flips = []
         row_hit = bank.open_row == physical and request.kind is not Kind.ACT
@@ -305,9 +306,9 @@ class MemoryController:
         if request.kind is Kind.ACT:
             # Closed-row hammering pattern: ACT then immediate PRE.
             service_ns = timing.trc
-            flips += device.activate(physical)
+            flips += device.activate(physical, bank_index)
             defense_ns += self._defense_hook(physical)
-            device.precharge(addr.bank)
+            device.precharge(bank_index)
         elif row_hit:
             service_ns = timing.row_hit_ns + (bursts - 1) * timing.tccd
             device.stats.row_hits += 1
@@ -316,16 +317,20 @@ class MemoryController:
             service_ns += (bursts - 1) * timing.tccd
             if bank.open_row is not None:
                 service_ns += timing.trp
-                device.precharge(addr.bank)
+                device.precharge(bank_index)
             device.stats.row_misses += 1
-            flips += device.activate(physical)
+            flips += device.activate(physical, bank_index)
             defense_ns += self._defense_hook(physical)
 
         if request.kind is Kind.READ:
-            device.read_burst_run(physical, request.column, bursts)
+            device.read_burst_run(physical, request.column, bursts, bank_index)
         elif request.kind is Kind.WRITE:
             device.write_burst_run(
-                physical, request.column, bursts, np.zeros(64, dtype=np.uint8)
+                physical,
+                request.column,
+                bursts,
+                np.zeros(64, dtype=np.uint8),
+                bank_index,
             )
 
         device.advance(service_ns + defense_ns)
@@ -453,9 +458,11 @@ class MemoryController:
     ) -> None:
         """Drain ``requests[start:end]`` -- identical ACTs of one row --
         in exact bulk chunks, with scalar steps where a threshold
-        crossing, locker deadline or defense event could change the
-        outcome; a chunk ends on the step that makes a REF of the row,
-        or a window-completing REF, due."""
+        crossing or defense event could change the outcome; a chunk
+        ends on the step that makes a REF of the row, or a
+        window-completing REF, due, and before the request whose lookup
+        fires a locker deadline, which then fires and starts the next
+        chunk."""
         device = self.device
         refresh = device.refresh
         rowhammer = device.rowhammer
@@ -470,9 +477,12 @@ class MemoryController:
             if locker is not None:
                 pending_bound = locker.quiet_span()
                 if pending_bound <= 0:
-                    sink.add(self.execute(requests[index]))
-                    index += 1
-                    continue
+                    # A deadline falls on this request: fire what its
+                    # lookup would fire first, then let it start the
+                    # chunk (every accumulator sees the swap before the
+                    # lookup charge, as on the scalar path).
+                    locker.fire_due()
+                    pending_bound = locker.quiet_span()
                 physical, locked, exposed = locker.classify(row)
                 if locked and not exposed:
                     if privileged:

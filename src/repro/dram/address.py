@@ -53,29 +53,34 @@ class AddressMapper:
 
     def __init__(self, config: DRAMConfig):
         self.config = config
+        # The geometry as plain ints: the config derives most of these
+        # in properties, which the decode paths would pay per call.
+        self.banks = config.banks
+        self.subarrays_per_bank = config.subarrays_per_bank
+        self.rows_per_subarray = config.rows_per_subarray
+        self.rows_per_bank = config.rows_per_bank
+        self.total_rows = config.total_rows
 
     # ------------------------------------------------------------------
     # Row index <-> RowAddress
     # ------------------------------------------------------------------
     def row_index(self, addr: RowAddress | tuple[int, int, int]) -> int:
         """Flatten a row address to a global row index."""
-        cfg = self.config
         if not isinstance(addr, RowAddress):
             addr = RowAddress(*addr)
         self._check(addr)
         return (
-            addr.bank * cfg.rows_per_bank
-            + addr.subarray * cfg.rows_per_subarray
+            addr.bank * self.rows_per_bank
+            + addr.subarray * self.rows_per_subarray
             + addr.row
         )
 
     def row_address(self, index: int) -> RowAddress:
         """Expand a global row index back to ``(bank, subarray, row)``."""
-        cfg = self.config
-        if not 0 <= index < cfg.total_rows:
+        if not 0 <= index < self.total_rows:
             raise ValueError(f"row index {index} out of range")
-        bank, rest = divmod(index, cfg.rows_per_bank)
-        subarray, row = divmod(rest, cfg.rows_per_subarray)
+        bank, rest = divmod(index, self.rows_per_bank)
+        subarray, row = divmod(rest, self.rows_per_subarray)
         return RowAddress(bank, subarray, row)
 
     # ------------------------------------------------------------------
@@ -107,18 +112,16 @@ class AddressMapper:
         """
         if radius < 1:
             raise ValueError("radius must be >= 1")
-        cfg = self.config
-        addr = self.row_address(index)
-        result = []
-        for offset in range(-radius, radius + 1):
-            if offset == 0:
-                continue
-            local = addr.row + offset
-            if 0 <= local < cfg.rows_per_subarray:
-                result.append(
-                    self.row_index(RowAddress(addr.bank, addr.subarray, local))
-                )
-        return result
+        if not 0 <= index < self.total_rows:
+            raise ValueError(f"row index {index} out of range")
+        # A subarray's rows are contiguous global indices, so only the
+        # row's offset inside its subarray matters.
+        local = index % self.rows_per_subarray
+        return [
+            index + offset
+            for offset in range(-radius, radius + 1)
+            if offset and 0 <= local + offset < self.rows_per_subarray
+        ]
 
     def aggressors_of(self, victims: Iterable[int], radius: int = 1) -> set[int]:
         """Rows that could disturb any of ``victims`` when hammered.
@@ -142,20 +145,18 @@ class AddressMapper:
 
     def reserved_rows(self, bank: int, subarray: int) -> list[int]:
         """Global indices of the reserved swap-pool rows of one subarray."""
-        cfg = self.config
-        first = cfg.usable_rows_per_subarray
+        first = self.config.usable_rows_per_subarray
         return [
             self.row_index(RowAddress(bank, subarray, local))
-            for local in range(first, cfg.rows_per_subarray)
+            for local in range(first, self.rows_per_subarray)
         ]
 
     def _check(self, addr: RowAddress) -> None:
-        cfg = self.config
-        if not 0 <= addr.bank < cfg.banks:
+        if not 0 <= addr.bank < self.banks:
             raise ValueError(f"bank {addr.bank} out of range")
-        if not 0 <= addr.subarray < cfg.subarrays_per_bank:
+        if not 0 <= addr.subarray < self.subarrays_per_bank:
             raise ValueError(f"subarray {addr.subarray} out of range")
-        if not 0 <= addr.row < cfg.rows_per_subarray:
+        if not 0 <= addr.row < self.rows_per_subarray:
             raise ValueError(f"row {addr.row} out of range")
 
 

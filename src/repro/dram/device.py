@@ -93,11 +93,14 @@ class DRAMDevice:
     # ------------------------------------------------------------------
     # Command plane
     # ------------------------------------------------------------------
-    def activate(self, row_index: int) -> list[BitFlip]:
-        """ACT one row: latch it, hammer-account it, apply disturbances."""
-        addr = self.mapper.row_address(row_index)
-        bank = self.banks[addr.bank]
-        bank.open_row = row_index
+    def activate(self, row_index: int, bank: int | None = None) -> list[BitFlip]:
+        """ACT one row: latch it, hammer-account it, apply disturbances.
+
+        ``bank`` is the row's bank index, for callers that have already
+        decoded the row address."""
+        if bank is None:
+            bank = self.mapper.row_address(row_index).bank
+        self.banks[bank].open_row = row_index
         self.stats.activates += 1
         self.stats.energy.activate += self.energy.e_act
         events = self.rowhammer.on_activate(row_index, self.now_ns)
@@ -126,19 +129,22 @@ class DRAMDevice:
         self.stats.energy.io += self.energy.e_io_burst
         self.poke_bytes(row_index, column, data)
 
-    def read_burst_run(self, row_index: int, column: int, bursts: int) -> None:
+    def read_burst_run(
+        self, row_index: int, column: int, bursts: int, bank: int | None = None
+    ) -> None:
         """Serve ``bursts`` back-to-back 64-byte read bursts of one open row.
 
         Accounting-equivalent to ``bursts`` :meth:`read_burst` calls over
         the controller's clamped column walk (one ACT serving N column
         reads), without materialising the per-burst copies nobody
         consumes.  Energy is accumulated burst-by-burst so the totals are
-        bit-identical to the scalar loop.
+        bit-identical to the scalar loop.  ``bank`` as for
+        :meth:`activate`.
         """
         cap = self.config.row_bytes - 64
         if min(column, cap) < 0:
             raise ValueError("byte range does not fit in the row")
-        self._require_open(row_index)
+        self._require_open(row_index, bank)
         stats = self.stats
         stats.reads += bursts
         breakdown = stats.energy
@@ -149,16 +155,22 @@ class DRAMDevice:
         )
 
     def write_burst_run(
-        self, row_index: int, column: int, bursts: int, data: np.ndarray
+        self,
+        row_index: int,
+        column: int,
+        bursts: int,
+        data: np.ndarray,
+        bank: int | None = None,
     ) -> None:
         """Store the same 64-byte ``data`` burst at ``bursts`` consecutive
         (clamped) column offsets of one open row -- the bulk twin of
-        :meth:`write_burst`, with bit-identical stats and stored bytes."""
+        :meth:`write_burst`, with bit-identical stats and stored bytes.
+        ``bank`` as for :meth:`activate`."""
         data = np.asarray(data, dtype=np.uint8).ravel()
         cap = self.config.row_bytes - data.size
         if min(column, cap) < 0:
             raise ValueError("byte range does not fit in the row")
-        self._require_open(row_index)
+        self._require_open(row_index, bank)
         stats = self.stats
         stats.writes += bursts
         breakdown = stats.energy
@@ -178,18 +190,19 @@ class DRAMDevice:
         Both activations are RowHammer-accounted: defenses that copy
         rows (SHADOW, RRS, DRAM-Locker's SWAP) hammer the array too.
         """
-        if not self.mapper.same_subarray(src_index, dst_index):
+        src = self.mapper.row_address(src_index)
+        dst = self.mapper.row_address(dst_index)
+        if src[:2] != dst[:2]:
             raise ValueError(
                 "RowClone FPM requires source and destination in one subarray"
             )
         if src_index == dst_index:
             raise ValueError("RowClone source and destination must differ")
-        flips = self.activate(src_index)
-        flips += self.activate(dst_index)
-        _, subarray, src_local = self.locate(src_index)
-        dst_local = self.mapper.row_address(dst_index).row
-        subarray.copy_row(src_local, dst_local)
-        self.precharge(self.mapper.row_address(src_index).bank)
+        flips = self.activate(src_index, src.bank)
+        flips += self.activate(dst_index, src.bank)
+        subarray = self.banks[src.bank].subarrays[src.subarray]
+        subarray.copy_row(src.row, dst.row)
+        self.precharge(src.bank)
         self.stats.rowclones += 1
         # ACT/PRE energy was charged by the primitives above; add the
         # residual restore energy so one clone totals rowclone_copy_nj.
@@ -250,10 +263,11 @@ class DRAMDevice:
                     listener(flip)
         return applied
 
-    def _require_open(self, row_index: int) -> None:
-        addr = self.mapper.row_address(row_index)
-        if self.banks[addr.bank].open_row != row_index:
+    def _require_open(self, row_index: int, bank: int | None = None) -> None:
+        if bank is None:
+            bank = self.mapper.row_address(row_index).bank
+        if self.banks[bank].open_row != row_index:
             raise RuntimeError(
-                f"row {row_index} is not open in bank {addr.bank}; "
+                f"row {row_index} is not open in bank {bank}; "
                 "issue ACT first (the controller does this for you)"
             )

@@ -11,9 +11,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .stats import walk_add
+from .stats import walk_add, walk_reach
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .device import DRAMDevice
@@ -49,8 +47,8 @@ class RefreshEngine:
         other REF due: the one that refreshes ``row`` or completes a
         window, which then fires after the chunk's last ACT just as on
         the scalar path.  Both walks replay the scalar float folds
-        (``next_ref_ns += trefi``, ``now_ns += step_ns``) and stop
-        within reach of the chunk's own length.
+        (``next_ref_ns += trefi``, ``now_ns += step_ns``) in closed
+        form and stop within reach of the chunk's own length.
         """
         if limit <= 0:
             return 0
@@ -66,11 +64,7 @@ class RefreshEngine:
         refs = min(stop, max(0, int((reach - self.next_ref_ns) / trefi)) + 2)
         due = walk_add(self.next_ref_ns, trefi, refs)
         steps = min(limit, max(0, int((due - now_ns) / step_ns)) + 2)
-        times = np.empty(steps + 1)
-        times[0] = now_ns
-        times[1:] = step_ns
-        np.add.accumulate(times, out=times)
-        return min(steps, int(np.searchsorted(times, due)))
+        return walk_reach(now_ns, step_ns, steps, due)
 
     def _refresh_slice(self) -> None:
         device = self.device

@@ -1,61 +1,180 @@
 """Counters and energy accounting shared by the device and controller.
 
 Also home of the *sequential accumulator* helpers the bulk execution
-paths use: :func:`walk_add` / :func:`walk_add_many` replay ``count``
-repeated ``acc += step`` float additions at C speed (one
-``np.add.accumulate`` pass), producing the **bit-identical** final
-value the Python walk would -- IEEE-754 addition folded strictly
-left-to-right, which is what every scalar hot loop in this codebase
-does.  The equivalence is pinned float-for-float by
-``tests/test_batch_execution.py``; callers that cannot express their
-update as a constant-step fold must keep the explicit walk.
+paths use: :func:`walk_add` / :func:`walk_add_many` return what
+``count`` repeated ``acc += step`` float additions would, and
+:func:`walk_reach` how many of them it takes to reach a bound --
+**bit-identical** to the Python walk (IEEE-754 addition, rounded to
+nearest even, folded strictly left to right), which is what every
+scalar hot loop in this codebase does.
+
+The walk is computed in closed form.  While the exact sums stay in one
+binade (or in the subnormal range, which shares one grid), every sum
+is rounded onto the same grid of spacing ``u``, so each step from a
+value on that grid adds a whole number of ``u``: ``round(step / u)``,
+or -- when ``step / u`` ends in an exact half and ties go to even --
+a number that is constant after the first such step, which lands on
+an even multiple.  So two plain steps measure the increment,
+whole-number arithmetic on grid counts jumps to the last step that is
+still inside the binade, and a walk costs a few Python steps per
+binade it crosses instead of one per addition (walks shorter than
+``_SHORT`` steps are plain loops, which is cheaper).  A step that
+leaves the accumulator unchanged is a fixed point and ends the walk;
+infinities and NaNs are stepped until their bits repeat.
+``tests/test_walk_property.py`` pins the equivalence against the
+Python fold; callers that cannot express their update as a
+constant-step fold must keep the explicit walk.
 """
 
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
+__all__ = [
+    "EnergyBreakdown",
+    "MemoryStats",
+    "walk_add",
+    "walk_add_many",
+    "walk_reach",
+]
 
-__all__ = ["EnergyBreakdown", "MemoryStats", "walk_add", "walk_add_many"]
+#: Binade bounds in grid steps: a positive normal binade spans
+#: ``[2**52, 2**53)`` steps of its grid, and the subnormal grid (shared
+#: with the smallest normal binade) spans ``(-2**53, 2**53)``.
+_LOW = float(1 << 52)
+_HIGH = float(1 << 53)
+#: The subnormal grid spacing, 2**-1074.
+_TINY = math.ulp(0.0)
+#: Walks shorter than this are cheaper to step than to jump.
+_SHORT = 16
+_PACK = struct.Struct("<d").pack
+#: The bound of a walk that runs its full length.
+_NAN = math.nan
 
-#: Below this run length the Python fold beats the numpy call overhead.
-_WALK_VECTOR_MIN = 16
+
+def _walk(
+    acc: float,
+    step: float,
+    count: int,
+    bound: float,
+    ulp=math.ulp,
+    isfinite=math.isfinite,
+) -> tuple[int, float]:
+    """Up to ``count`` steps of ``acc += step``, stopping after the
+    first whose result is ``>= bound`` (a NaN ``bound`` never stops
+    the walk).  Returns ``(steps taken, final value)``.  The ``math``
+    functions are bound as defaults: this is the bulk engine's inner
+    loop."""
+    taken = 0
+    while taken < count:
+        if count - taken < _SHORT:
+            while taken < count:
+                acc += step
+                taken += 1
+                if acc >= bound:
+                    break
+            break
+        start = acc
+        acc += step
+        taken += 1
+        if acc >= bound:
+            break
+        after = acc + step
+        taken += 1
+        if after >= bound:
+            return taken, after
+        if after == acc:
+            # A fixed point (equal zeros only follow each other under a
+            # zero step, which keeps the second one).
+            return count, after
+        if not isfinite(after):
+            # An infinity or a NaN: step until the bits repeat.
+            while taken < count:
+                acc, after = after, after + step
+                taken += 1
+                if after >= bound:
+                    return taken, after
+                if _PACK(after) == _PACK(acc):
+                    return count, after
+            return taken, after
+        # ``grid`` is the spacing of ``after``'s binade (the values of
+        # one ulp).  ``start`` must lie on it too: a value of a finer
+        # binade may sit half a step off the grid, which turns the
+        # first rounding into an exact sum instead of a tie.  Three
+        # consecutive values of one ulp lie in one binade, strictly
+        # inside it but for ``after`` at a lower edge (which leaves no
+        # room below), so both sums were rounded on this grid.
+        grid = ulp(after)
+        if ulp(acc) != grid or ulp(start) != grid:
+            acc = after
+            continue
+        # A tie (``step`` an odd number of half steps) left ``acc``
+        # even, so from ``after`` on each step adds ``delta`` grid
+        # steps.  A step whose result stays two grid steps inside the
+        # binade has its exact sum inside it too (and below the
+        # overflow threshold in the top binade).  Grid counts are below
+        # 2**54 and ``grid`` is a power of two, so this float
+        # arithmetic is exact.
+        last = after / grid
+        delta = last - acc / grid
+        acc = after
+        if delta > 0:
+            edge = _HIGH if after > 0 or grid == _TINY else -_LOW
+            room = (edge - 2.0 - last) // delta
+        else:
+            edge = -_HIGH if after < 0 or grid == _TINY else _LOW
+            room = (last - edge - 2.0) // -delta
+        if room > count - taken:
+            room = count - taken
+        if room <= 0:
+            continue
+        end = (last + room * delta) * grid
+        if end >= bound:
+            need = -((last - math.ceil(bound / grid)) // delta)
+            return taken + int(need), (last + need * delta) * grid
+        acc = end
+        taken += int(room)
+    return taken, acc
 
 
 def walk_add(acc: float, step: float, count: int) -> float:
     """``count`` sequential ``acc += step`` additions, bit-identical to
-    the scalar walk (``np.add.accumulate`` folds left-to-right)."""
-    if count < _WALK_VECTOR_MIN:
+    the Python walk, in closed form."""
+    if count < _SHORT:
         for _ in range(count):
             acc += step
         return acc
-    buffer = np.empty(count + 1)
-    buffer[0] = acc
-    buffer[1:] = step
-    np.add.accumulate(buffer, out=buffer)
-    return float(buffer[-1])
+    return _walk(acc, step, count, _NAN)[1]
 
 
 def walk_add_many(
     accs: Sequence[float], steps: Sequence[float], count: int
 ) -> tuple[float, ...]:
-    """Run several independent constant-step walks of one shared length
-    in a single ``np.add.accumulate`` pass; returns the final values in
-    input order, each bit-identical to its scalar walk."""
-    if count < _WALK_VECTOR_MIN:
-        results = []
+    """Several independent constant-step walks of one shared length;
+    returns the final values in input order, each bit-identical to its
+    Python walk."""
+    finals = []
+    if count < _SHORT:
         for acc, step in zip(accs, steps):
             for _ in range(count):
                 acc += step
-            results.append(acc)
-        return tuple(results)
-    buffer = np.empty((len(accs), count + 1))
-    buffer[:, 0] = accs
-    buffer[:, 1:] = np.asarray(steps, dtype=np.float64)[:, None]
-    np.add.accumulate(buffer, axis=1, out=buffer)
-    return tuple(float(value) for value in buffer[:, -1])
+            finals.append(acc)
+    else:
+        for acc, step in zip(accs, steps):
+            finals.append(_walk(acc, step, count, _NAN)[1])
+    return tuple(finals)
+
+
+def walk_reach(acc: float, step: float, count: int, bound: float) -> int:
+    """How many steps of ``acc += step`` it takes until the accumulator
+    is ``>= bound``, at most ``count`` (0 when ``acc`` is there
+    already)."""
+    if acc >= bound:
+        return 0
+    return _walk(acc, step, count, bound)[0]
 
 
 @dataclass

@@ -162,7 +162,7 @@ class DRAMLocker:
     # ------------------------------------------------------------------
     def on_request(self, request: MemRequest) -> AccessDecision:
         self.rw_instructions += 1
-        self._process_due()
+        self._process_due(self.rw_instructions)
 
         stats = self.device.stats
         stats.lock_lookups += 1
@@ -191,6 +191,14 @@ class DRAMLocker:
         if not self._pending:
             return sys.maxsize
         return max(0, self._pending[0].due - self.rw_instructions - 1)
+
+    def fire_due(self) -> None:
+        """Fire the restore / re-secure items the next request's
+        :meth:`on_request` would fire before its lookup, so the batch
+        engine can start a chunk with that request (its lookup is then
+        charged by :meth:`charge_bulk`, after the swaps, as on the
+        scalar path)."""
+        self._process_due(self.rw_instructions + 1)
 
     def classify(self, logical_row: int) -> tuple[int, bool, bool]:
         """Non-mutating, uncounted preview of :meth:`on_request`'s verdict:
@@ -276,8 +284,9 @@ class DRAMLocker:
             True, physical, extra_ns, reason=f"exposed ({reason})"
         )
 
-    def _process_due(self) -> None:
-        while self._pending and self._pending[0].due <= self.rw_instructions:
+    def _process_due(self, instruction: int) -> None:
+        """Fire every pending item due at or before ``instruction``."""
+        while self._pending and self._pending[0].due <= instruction:
             item = heapq.heappop(self._pending)
             if item.kind is _PendingKind.RESECURE:
                 self.exposed.discard(item.physical_row)

@@ -60,10 +60,11 @@ class SwapEngine:
 
     def swap(self, locked_row: int, free_row: int, buffer_row: int) -> SwapResult:
         """Exchange the *data* of ``locked_row`` and ``free_row``."""
-        mapper = self.device.mapper
+        row_address = self.device.mapper.row_address
+        home = row_address(locked_row)[:2]
         if not (
-            mapper.same_subarray(locked_row, free_row)
-            and mapper.same_subarray(locked_row, buffer_row)
+            row_address(free_row)[:2] == home
+            and row_address(buffer_row)[:2] == home
         ):
             raise ValueError("SWAP rows must share one subarray (RowClone FPM)")
         if len({locked_row, free_row, buffer_row}) != 3:

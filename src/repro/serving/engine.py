@@ -262,8 +262,9 @@ class ServingSimulation:
         # guard-selection policy the attack experiments use, in system
         # row space, booked against the "victim-owner" tenant.
         self._owner_sink = self.sla.sink("victim-owner")
+        self._neighbor_lists: dict[int, list[int]] = {}
         self._victim_traffic = GuardRowTraffic(
-            self.system.neighbors,
+            self._campaign_neighbors,
             self._owner_read,
             seed=derive_seed("victim-traffic", config.seed),
         )
@@ -287,6 +288,14 @@ class ServingSimulation:
     def _on_victim_flip(self, flip, victim_locals) -> None:
         if flip.row in victim_locals:
             self.victim_flip_events += 1
+
+    def _campaign_neighbors(self, row: int) -> list[int]:
+        """The rows adjacent to a campaign row -- the attacker's
+        aggressors and the owner's guard rows -- decoded on first use."""
+        rows = self._neighbor_lists.get(row)
+        if rows is None:
+            rows = self._neighbor_lists[row] = self.system.neighbors(row)
+        return rows
 
     def _owner_read(self, row: int) -> None:
         """One privileged guard-row read, booked to the victim owner."""
@@ -609,7 +618,7 @@ class ServingSimulation:
         config = self.config
         sink = self.sla.sink("attacker")
         for row in self.campaign_rows:
-            for aggressor in self.system.neighbors(row, radius=1):
+            for aggressor in self._campaign_neighbors(row):
                 self.sla.observe_op("attacker", "hammer")
                 if self._row_unavailable(aggressor):
                     self.sla.observe_shed("attacker", "channel_fault")

@@ -390,4 +390,11 @@ class ShardedMemorySystem:
 
 def replace_row(request: MemRequest, row: int) -> MemRequest:
     """A copy of ``request`` addressing a different (channel-local) row."""
-    return replace(request, row=row)
+    return MemRequest(
+        request.kind,
+        row,
+        request.column,
+        request.size,
+        request.privileged,
+        request.tag,
+    )

@@ -361,8 +361,9 @@ class GuardRowTraffic:
     def touch(self, row: int) -> None:
         """One privileged access next to ``row``."""
         guards = self._neighbors(row)
-        guard = int(self._rng.choice(guards))
-        self._read_privileged(guard)
+        # The draw ``rng.choice(guards)`` makes, without its array
+        # conversion.
+        self._read_privileged(guards[int(self._rng.integers(len(guards)))])
 
 
 class GuardRowTenant(GuardRowTraffic):

@@ -36,7 +36,7 @@ FAST_ENGINES = [engine for engine in EXECUTION_ENGINES if engine != "scalar"]
 # Controller-level grid: defense x locker x engines
 # ----------------------------------------------------------------------
 def _build(engine, *, defense_name=None, protected=False, trh=100,
-           relock_interval=150, timing=DDR4_2400):
+           relock_interval=150, timing=DDR4_2400, copy_error_rate=0.05):
     config = DRAMConfig.tiny()
     vulnerability = VulnerabilityMap(config, seed=3, weak_cell_fraction=1e-4)
     device = DRAMDevice(
@@ -47,7 +47,7 @@ def _build(engine, *, defense_name=None, protected=False, trh=100,
         locker = DRAMLocker(
             device,
             LockerConfig(
-                copy_error_rate=0.05,
+                copy_error_rate=copy_error_rate,
                 relock_interval=relock_interval,
                 seed=7,
             ),
@@ -96,10 +96,20 @@ def _locker_state(locker):
     return (
         locker.table.lookups,
         locker.table.hits,
+        locker.table.snapshot(),
         locker.rw_instructions,
         locker.blocked_requests,
         locker.exposed,
         locker.swap_engine.rng.bit_generator.state,
+        # The pending restore / re-secure heap, in heap order.
+        [
+            (item.due, item.order, item.kind, item.logical_row,
+             item.physical_row)
+            for item in locker._pending
+        ],
+        dict(locker._where),
+        {key: list(pool) for key, pool in locker._free_pool.items()},
+        locker.exposure_summary(),
     )
 
 
@@ -369,6 +379,70 @@ def test_generated_streams_identical_across_engines(
             offset_ns,
         )
         assert state == reference, engine
+
+
+# ----------------------------------------------------------------------
+# Generated runs with locker deadlines inside unprivileged ACT runs
+# ----------------------------------------------------------------------
+#: One call: a privileged READ of a locked row (an unlock-SWAP opener:
+#: success schedules a RESTORE, failure exposes the row and schedules a
+#: RESECURE) or ``count`` unprivileged ACTs of a row, as a
+#: :class:`RequestRun` or a plain list.  Runs target the locked rows
+#: (so also the row an opener just exposed or moved) and unlocked ones.
+DEADLINE_CALLS = st.lists(
+    st.one_of(
+        st.tuples(st.just("open"), st.sampled_from(LOCKED_ROWS),
+                  st.just(1), st.just(False)),
+        st.tuples(st.just("act"), st.sampled_from(STREAM_ROWS),
+                  st.integers(1, 40), st.booleans()),
+    ),
+    min_size=3,
+    max_size=16,
+)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    calls=DEADLINE_CALLS,
+    relock_interval=st.integers(1, 8),
+    copy_error_rate=st.sampled_from((0.0, 0.3, 0.9)),
+    offset_ns=st.integers(0, 7800),
+)
+def test_locker_deadlines_inside_act_runs(
+    calls, relock_interval, copy_error_rate, offset_ns
+):
+    """RESTORE (successful or failed) and RESECURE deadlines that fall
+    inside unprivileged ACT runs, on the exposed or moved row and on
+    others: the bulk engine fires them where the scalar lookup would,
+    before the chunk that request starts is charged."""
+
+    def run(engine):
+        device, controller, locker, _ = _build(
+            engine,
+            protected=True,
+            relock_interval=relock_interval,
+            copy_error_rate=copy_error_rate,
+        )
+        device.advance(offset_ns)
+        results = []
+        for kind, row, count, as_run in calls:
+            if kind == "open":
+                stream = [MemRequest(Kind.READ, row, privileged=True)]
+            else:
+                request = MemRequest(Kind.ACT, row, privileged=False)
+                stream = (
+                    RequestRun(request, count) if as_run else [request] * count
+                )
+            results += controller.execute_batch(stream)
+        return (
+            _result_fields(results),
+            _device_state(device),
+            _locker_state(locker),
+        )
+
+    reference = run("scalar")
+    for engine in FAST_ENGINES:
+        assert run(engine) == reference, engine
 
 
 # ----------------------------------------------------------------------

@@ -452,7 +452,7 @@ DIFFERENTIAL = {
     ('BENCH_attack_search.json', 'BENCH_attack_search_baseline.json'): (234, 16, '5b266051cd4f32b2'),
     ('BENCH_bakeoff.json', 'BENCH_bakeoff_baseline.json'): (2332, 0, '1b1c30d0d5321780'),
     ('BENCH_defended_hammer.json', 'BENCH_defended_hammer_baseline.json'): (418, 22, 'd45343e94f69a134'),
-    ('BENCH_obs.json', 'BENCH_obs_baseline.json'): (218, 0, '98fb9ba799f8f743'),
+    ('BENCH_obs.json', 'BENCH_obs_baseline.json'): (218, 0, '401647f821ae525a'),
     ('BENCH_runtable.json', 'BENCH_runtable_baseline.json'): (144, 0, 'd394104fb21197f8'),
     ('BENCH_serving.json', 'BENCH_serving_baseline.json'): (1528, 6, 'c2f965e98ede78e1'),
     ('BENCH_serving_live.json', 'BENCH_serving_live_baseline.json'): (450, 0, 'c55341cbfa13588f'),

@@ -26,6 +26,7 @@ from repro.eval.harness import Scenario, run_matrix, serving_scenarios
 from repro.eval.regression import check
 from repro.locker.locker import DRAMLocker, LockerConfig
 from repro.serving import (
+    GuardRowTraffic,
     ServingConfig,
     ShardedMemorySystem,
     StreamingPercentiles,
@@ -120,6 +121,24 @@ class TestWorkloadGenerator:
         weights = zipf_weights(5, 1.0)
         assert weights[0] == pytest.approx(weights[4] * 5.0)
         assert weights.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("guards", [1, 2, 3, 4])
+    def test_guard_draw_is_the_rng_choice_stream(self, guards):
+        """``GuardRowTraffic`` (and ``GuardRowTenant``, which the BFA
+        experiments use) picks its guard with ``rng.integers``: the same
+        stream, and the same generator state, as ``rng.choice``."""
+        rows = [100 + 7 * k for k in range(guards)]
+        picked = []
+        traffic = GuardRowTraffic(lambda row: rows, picked.append, seed=5)
+        reference = np.random.default_rng(5)
+        draws = 10_000
+        for _ in range(draws):
+            traffic.touch(0)
+        assert picked == [int(reference.choice(rows)) for _ in range(draws)]
+        assert (
+            traffic._rng.bit_generator.state
+            == reference.bit_generator.state
+        )
 
 
 # ----------------------------------------------------------------------
